@@ -146,7 +146,7 @@ func measure(b *testing.B, name string, model core.Model, mc machine.Config, opt
 	if err != nil {
 		b.Fatal(err)
 	}
-	s := sim.New(c.Prog, mc)
+	s := sim.NewTiming(c.Prog, mc)
 	if _, err := emu.Run(c.Prog, emu.Options{Sink: s}); err != nil {
 		b.Fatal(err)
 	}
@@ -339,7 +339,7 @@ func BenchmarkSimulateStreaming(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		s := sim.New(c.Prog, machine.Issue8Br1())
+		s := sim.NewTiming(c.Prog, machine.Issue8Br1())
 		if _, err := emu.Run(c.Prog, emu.Options{Sink: s}); err != nil {
 			b.Fatal(err)
 		}

@@ -4,7 +4,7 @@
 // Usage:
 //
 //	figures [-bench name,name,...] [-kernels name,name,...] [-parallel N]
-//	        [-markdown | -csv] [-ext] [-gang=false] [-predictor btb,gshare]
+//	        [-markdown | -csv] [-ext] [-predictor btb,gshare]
 //	        [-window 0,32]
 package main
 
@@ -72,8 +72,6 @@ func run(args []string, out, errw io.Writer) error {
 	statsJSON := fs.String("stats-json", "", "write the whole suite (stats, breakdowns, pipelines, registry) as JSON to this file (- for stdout)")
 	failfast := fs.Bool("failfast", false, "abort the whole run on the first failing matrix cell (default: failed cells become tagged gaps)")
 	cellTimeout := fs.Duration("cell-timeout", 0, "per-cell time budget, e.g. 30s (0 = unbounded)")
-	legacy := fs.Bool("legacy", false, "run the suite on the legacy (pre-decoded-free) emulator and simulator data path")
-	gang := fs.Bool("gang", true, "measure each matrix cell's configurations in a single gang-simulator pass (-gang=false falls back to one simulator per configuration)")
 	predictor := fs.String("predictor", "", "comma-separated branch predictors to cross the matrix with (btb, gshare; default btb)")
 	window := fs.String("window", "", "comma-separated instruction-window sizes to cross the matrix with (0 = in-order; default 0)")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the suite run to this file")
@@ -86,14 +84,6 @@ func run(args []string, out, errw io.Writer) error {
 	}
 	if *cellTimeout < 0 {
 		return fmt.Errorf("-cell-timeout %v: time budget cannot be negative (0 = unbounded)", *cellTimeout)
-	}
-	if *legacy && (*breakdown || *statsJSON != "") {
-		return fmt.Errorf("-legacy cannot be combined with -breakdown or -stats-json: cycle accounting instruments the pre-decoded simulator only")
-	}
-	gangSet := false
-	fs.Visit(func(f *flag.Flag) { gangSet = gangSet || f.Name == "gang" })
-	if *legacy && *gang && gangSet {
-		return fmt.Errorf("-gang cannot be combined with -legacy: the gang simulator exists on the pre-decoded data path only")
 	}
 	if *benchList != "" && *kernelList != "" && *benchList != *kernelList {
 		return fmt.Errorf("-bench and -kernels both given with different kernel lists")
@@ -122,13 +112,11 @@ func run(args []string, out, errw io.Writer) error {
 	}
 
 	opts := experiments.Options{
-		Parallel:     *parallel,
-		Progress:     func(s string) { fmt.Fprintln(errw, s) },
-		FailFast:     *failfast,
-		CellTimeout:  *cellTimeout,
-		LegacyEmu:    *legacy,
-		Observe:      *breakdown || *statsJSON != "",
-		PerConfigSim: !*gang,
+		Parallel:    *parallel,
+		Progress:    func(s string) { fmt.Fprintln(errw, s) },
+		FailFast:    *failfast,
+		CellTimeout: *cellTimeout,
+		Observe:     *breakdown || *statsJSON != "",
 	}
 	if *predictor != "" {
 		opts.Predictors = strings.Split(*predictor, ",")

@@ -317,44 +317,6 @@ func TestCellTimeoutValidation(t *testing.T) {
 	}
 }
 
-// TestLegacyObserveConflict: -legacy cannot produce breakdowns (cycle
-// accounting instruments the pre-decoded simulator only), so combining it
-// with -breakdown or -stats-json is a one-line error instead of a run
-// that silently returns empty breakdowns.
-func TestLegacyObserveConflict(t *testing.T) {
-	for _, args := range [][]string{
-		{"-bench", "wc", "-legacy", "-breakdown"},
-		{"-bench", "wc", "-legacy", "-stats-json", "-"},
-	} {
-		var sb strings.Builder
-		err := run(args, &sb, io.Discard)
-		if err == nil {
-			t.Errorf("figures %v: expected error", args)
-			continue
-		}
-		if msg := err.Error(); strings.Contains(msg, "\n") {
-			t.Errorf("figures %v: diagnostic is not one line: %q", args, msg)
-		}
-	}
-}
-
-// TestGangFlag: the default gang data path and the -gang=false
-// per-config fallback render byte-identical tables (the lanes are
-// pinned Stats-identical), and an explicit -gang cannot be combined
-// with -legacy.
-func TestGangFlag(t *testing.T) {
-	gang := capture(t, "-bench", "wc", "-markdown")
-	per := capture(t, "-bench", "wc", "-markdown", "-gang=false")
-	if gang != per {
-		t.Errorf("-gang and -gang=false tables diverge:\n--- gang ---\n%s\n--- per-config ---\n%s", gang, per)
-	}
-	var sb strings.Builder
-	err := run([]string{"-bench", "wc", "-legacy", "-gang"}, &sb, io.Discard)
-	if err == nil || !strings.Contains(err.Error(), "-legacy") {
-		t.Errorf("error = %v, want -gang/-legacy conflict", err)
-	}
-}
-
 // TestPredictorMatrixFlag: -predictor widens the matrix with suffixed
 // configuration cells (visible through -stats-json), and a bad list
 // fails with a one-line error before the suite runs.

@@ -61,8 +61,6 @@ func run(args []string, out io.Writer) error {
 	inject := fs.Bool("inject", false,
 		"inject a deliberate full-predication miscompile (exercises detection, minimization, and repro writing)")
 	verify := fs.Bool("verify", true, "run the per-stage IR verifier during compilation")
-	crossEmu := fs.Bool("crossemu", false,
-		"re-run every compiled program under the legacy interpreter and diff it against the fast emulator")
 	verbose := fs.Bool("v", false, "log every seed, not just failures")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -82,7 +80,7 @@ func run(args []string, out io.Writer) error {
 		go func() {
 			defer wg.Done()
 			for seed := range work {
-				results <- fuzzSeed(seed, *outDir, *inject, *verify, *crossEmu)
+				results <- fuzzSeed(seed, *outDir, *inject, *verify)
 			}
 		}()
 	}
@@ -139,7 +137,7 @@ func (p *workerPanic) Error() string {
 // fuzzSeed runs the oracle for one seed, recovering panics so a single
 // bad seed cannot take down the whole run.  On divergence it minimizes
 // and writes the repro artifact before reporting.
-func fuzzSeed(seed uint64, outDir string, inject, verify, crossEmu bool) (outcome seedOutcome) {
+func fuzzSeed(seed uint64, outDir string, inject, verify bool) (outcome seedOutcome) {
 	outcome.seed = seed
 	defer func() {
 		if r := recover(); r != nil {
@@ -150,7 +148,6 @@ func fuzzSeed(seed uint64, outDir string, inject, verify, crossEmu bool) (outcom
 	opts := difftest.DefaultOptions()
 	opts.Nested = seed%2 == 1
 	opts.VerifyStages = verify
-	opts.CrossEmu = crossEmu
 	if inject {
 		opts.Mutate = injectAddOffByOne
 	}

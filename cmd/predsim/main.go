@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	predsim -bench wc -model full -machine issue8-br1 [-dump] [-stages] [-gang=false]
+//	predsim -bench wc -model full -machine issue8-br1 [-dump] [-stages]
 //	predsim -file prog.psasm -model cmov
 //	predsim -list
 package main
@@ -66,7 +66,6 @@ func run(args []string, out io.Writer) error {
 	stages := fs.Bool("stages", false, "dump the program after every pipeline stage")
 	schedule := fs.Bool("schedule", false, "print the hottest block with issue cycles (the paper's Figure 5/6 presentation)")
 	verify := fs.Bool("verify", false, "run the structural IR verifier after every pipeline stage")
-	gang := fs.Bool("gang", true, "simulate on the gang data path (a one-lane sim.Gang; -gang=false falls back to the per-config simulator)")
 	predictorName := fs.String("predictor", "btb", "branch direction predictor: btb | gshare")
 	window := fs.Int("window", 0, "out-of-order instruction-window size (0 = in-order issue, the paper's machine)")
 	breakdown := fs.Bool("breakdown", false, "print the stall-cycle breakdown and instruction mix (see docs/OBSERVABILITY.md)")
@@ -185,33 +184,14 @@ func run(args []string, out io.Writer) error {
 
 	// Stream the emulation into the timing simulator — and, for -schedule,
 	// a per-instruction frequency counter; for -trace-out, the structured
-	// trace writer — without materializing the trace.  The simulator is a
-	// one-lane sim.Gang by default (the data path the suite and serving
-	// daemon run on); -gang=false falls back to the per-config reference
-	// simulator.  The two are pinned Stats-identical by the gang parity
-	// tests, so the flag changes the code path under test, not the report.
-	var (
-		simSink    emu.TraceSink
-		instrument func(*obs.CycleAccount)
-		stats      func() sim.Stats
-	)
-	if *gang {
-		g := sim.NewGang(c.Prog, []machine.Config{mc})
-		simSink = g
-		instrument = func(a *obs.CycleAccount) { g.Instrument(0, a) }
-		stats = func() sim.Stats { return g.Stats(0) }
-	} else {
-		s := sim.NewTiming(c.Prog, mc)
-		simSink = s
-		instrument = s.Instrument
-		stats = s.Stats
-	}
+	// trace writer — without materializing the trace.
+	s := sim.NewTiming(c.Prog, mc)
 	var acct *obs.CycleAccount
 	if *breakdown || *statsJSON != "" {
 		acct = &obs.CycleAccount{}
-		instrument(acct)
+		s.Instrument(acct)
 	}
-	sinks := emu.FanoutSink{simSink}
+	sinks := emu.FanoutSink{s}
 	var counts countingSink
 	if *schedule {
 		counts = countingSink{}
@@ -234,7 +214,7 @@ func run(args []string, out io.Writer) error {
 		}
 		sinks = append(sinks, tracer)
 	}
-	sink := simSink
+	var sink emu.TraceSink = s
 	if len(sinks) > 1 {
 		sink = sinks
 	}
@@ -247,7 +227,7 @@ func run(args []string, out io.Writer) error {
 			return fmt.Errorf("trace: %w", err)
 		}
 	}
-	st := stats()
+	st := s.Stats()
 	if acct != nil {
 		if err := acct.Verify(st.Cycles, st.Instrs, st.Nullified); err != nil {
 			return err

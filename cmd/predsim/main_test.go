@@ -386,20 +386,3 @@ func TestTraceFlagValidation(t *testing.T) {
 		}
 	}
 }
-
-// TestGangFlag: the default one-lane-gang data path and the -gang=false
-// per-config fallback print identical reports (the two simulators are
-// pinned Stats-identical by the parity tests), with and without the
-// instrumented breakdown path.
-func TestGangFlag(t *testing.T) {
-	gang := capture(t, "-bench", "wc", "-breakdown")
-	per := capture(t, "-bench", "wc", "-breakdown", "-gang=false")
-	if gang != per {
-		t.Errorf("-gang and -gang=false reports diverge:\n--- gang ---\n%s\n--- per-config ---\n%s", gang, per)
-	}
-	gsh := capture(t, "-bench", "wc", "-predictor", "gshare", "-machine", "issue8-br1-64k")
-	gshPer := capture(t, "-bench", "wc", "-predictor", "gshare", "-machine", "issue8-br1-64k", "-gang=false")
-	if gsh != gshPer {
-		t.Errorf("gshare/cache reports diverge across -gang:\n%s\nvs\n%s", gsh, gshPer)
-	}
-}

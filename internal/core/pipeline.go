@@ -116,10 +116,6 @@ type Options struct {
 	// produced them.  The final model-legality verification always runs;
 	// this flag adds the per-stage checks (debug builds and tests).
 	VerifyStages bool
-	// LegacyEmu runs the profiling emulation with the legacy tree-walking
-	// interpreter instead of the pre-decoded fast path (benchmark baseline;
-	// see docs/PERFORMANCE.md).  The collected profile is identical.
-	LegacyEmu bool
 }
 
 // DefaultOptions returns the configuration used for the paper's
@@ -168,7 +164,7 @@ func Compile(src *ir.Program, model Model, opts Options) (*Compiled, error) {
 		return nil, err
 	}
 	prof := cfg.NewProfile()
-	if _, err := emu.Run(p, emu.Options{Profile: prof, MaxSteps: opts.ProfileSteps, Legacy: opts.LegacyEmu}); err != nil {
+	if _, err := emu.Run(p, emu.Options{Profile: prof, MaxSteps: opts.ProfileSteps}); err != nil {
 		return nil, fmt.Errorf("core: profiling run failed: %w", err)
 	}
 	if opts.Pipeline != nil {

@@ -42,10 +42,6 @@ const (
 	KindChecksum Kind = "checksum"
 	// KindMemory: a non-reserved memory word differs from the reference.
 	KindMemory Kind = "memory"
-	// KindEmu: the legacy and pre-decoded emulators disagree on the same
-	// compiled program (Options.CrossEmu) — an emulator bug, not a
-	// miscompile.
-	KindEmu Kind = "emu"
 )
 
 // Options configures the oracle.  Use DefaultOptions as the base: the
@@ -71,12 +67,6 @@ type Options struct {
 	// itself (fault injection), and is reapplied during minimization so
 	// the injected divergence keeps reproducing.
 	Mutate func(p *ir.Program, model core.Model)
-	// CrossEmu additionally re-runs every compiled program under the
-	// legacy tree-walking interpreter and compares step count, checksum,
-	// and final memory against the pre-decoded fast path (KindEmu on
-	// disagreement).  This fuzzes the emulator pair itself on top of the
-	// cross-model oracle.
-	CrossEmu bool
 }
 
 // DefaultOptions returns the standard oracle configuration: all four
@@ -162,21 +152,6 @@ func CheckProgram(src *ir.Program, seed uint64, opts Options) (*Divergence, erro
 		}
 		if addr, got, ok := memDiff(ref.Mem, res.Mem); ok {
 			return diverge(model, KindMemory, "mem[%d] = %#x, want %#x", addr, got, ref.Mem[addr]), nil
-		}
-		if opts.CrossEmu {
-			leg, err := emu.Run(c.Prog, emu.Options{MaxSteps: opts.MaxSteps, Legacy: true})
-			switch {
-			case err != nil:
-				return diverge(model, KindEmu, "fast emulator completed but legacy failed: %v", err), nil
-			case leg.Steps != res.Steps:
-				return diverge(model, KindEmu, "legacy emulator ran %d steps, fast ran %d", leg.Steps, res.Steps), nil
-			case leg.Word(progen.CheckAddr) != res.Word(progen.CheckAddr):
-				return diverge(model, KindEmu, "legacy checksum %#x, fast %#x",
-					leg.Word(progen.CheckAddr), res.Word(progen.CheckAddr)), nil
-			}
-			if addr, got, ok := memDiff(res.Mem, leg.Mem); ok {
-				return diverge(model, KindEmu, "legacy mem[%d] = %#x, fast %#x", addr, got, res.Mem[addr]), nil
-			}
 		}
 	}
 	return nil, nil

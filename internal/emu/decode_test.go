@@ -46,8 +46,8 @@ func TestDecodeRejectsUndefinedJSRTarget(t *testing.T) {
 }
 
 func TestDecodeRejectsEmptyBlockCycle(t *testing.T) {
-	// Two empty blocks falling through to each other: the legacy
-	// interpreter would spin forever; Decode rejects the program.
+	// Two empty blocks falling through to each other would spin forever at
+	// run time; Decode rejects the program.
 	p := ir.NewProgram(16)
 	f := ir.NewFunc("main")
 	b0 := f.EntryBlock()
@@ -68,8 +68,8 @@ func TestDecodeRejectsOversizedPredicateFile(t *testing.T) {
 }
 
 // TestRunTimeTransferErrorsSurviveDecode pins that dead-block transfers
-// remain run-time errors (byte-identical to the legacy interpreter's), not
-// decode rejections: the block may be dynamically unreachable.
+// remain run-time errors, not decode rejections: the block may be
+// dynamically unreachable.
 func TestRunTimeTransferErrorsSurviveDecode(t *testing.T) {
 	p := ir.NewProgram(16)
 	f := ir.NewFunc("main")
@@ -79,11 +79,8 @@ func TestRunTimeTransferErrorsSurviveDecode(t *testing.T) {
 	b0.Append(&ir.Instr{Op: ir.Jump, Target: dead.ID})
 	p.AddFunc(f)
 
-	for _, legacy := range []bool{false, true} {
-		_, err := Run(p, Options{Legacy: legacy})
-		if err == nil || err.Error() != "emu: transfer to dead block B1 in main" {
-			t.Errorf("legacy=%v: error = %v, want transfer to dead block B1", legacy, err)
-		}
+	if _, err := Run(p, Options{}); err == nil || err.Error() != "emu: transfer to dead block B1 in main" {
+		t.Errorf("error = %v, want transfer to dead block B1", err)
 	}
 
 	// Falling off a block without a fallthrough successor.
@@ -91,10 +88,7 @@ func TestRunTimeTransferErrorsSurviveDecode(t *testing.T) {
 	f2 := ir.NewFunc("main")
 	f2.EntryBlock().Append(&ir.Instr{Op: ir.Nop})
 	p2.AddFunc(f2)
-	for _, legacy := range []bool{false, true} {
-		_, err := Run(p2, Options{Legacy: legacy})
-		if err == nil || err.Error() != "emu: fell off end of block B0 in main" {
-			t.Errorf("legacy=%v: error = %v, want fell off end of block B0", legacy, err)
-		}
+	if _, err := Run(p2, Options{}); err == nil || err.Error() != "emu: fell off end of block B0 in main" {
+		t.Errorf("error = %v, want fell off end of block B0", err)
 	}
 }

@@ -283,20 +283,18 @@ func TestStepLimit(t *testing.T) {
 	loop := f.Block("spin")
 	b.Fall(loop)
 	loop.Jmp(loop)
-	for _, legacy := range []bool{false, true} {
-		_, err := Run(p.Program(), Options{MaxSteps: 1000, Legacy: legacy})
-		if err == nil {
-			t.Fatal("infinite loop must hit the step limit")
-		}
-		// The quota error is typed on both interpreter paths: the
-		// submission gate classifies it without string matching.
-		var sl *StepLimitError
-		if !errors.As(err, &sl) {
-			t.Fatalf("legacy=%v: error %v is not a StepLimitError", legacy, err)
-		}
-		if sl.Limit != 1000 || !strings.Contains(err.Error(), "step limit 1000") {
-			t.Errorf("legacy=%v: limit=%d msg=%q", legacy, sl.Limit, err)
-		}
+	_, err := Run(p.Program(), Options{MaxSteps: 1000})
+	if err == nil {
+		t.Fatal("infinite loop must hit the step limit")
+	}
+	// The quota error is typed: the submission gate classifies it without
+	// string matching.
+	var sl *StepLimitError
+	if !errors.As(err, &sl) {
+		t.Fatalf("error %v is not a StepLimitError", err)
+	}
+	if sl.Limit != 1000 || !strings.Contains(err.Error(), "step limit 1000") {
+		t.Errorf("limit=%d msg=%q", sl.Limit, err)
 	}
 }
 

@@ -1,79 +1,137 @@
 package emu_test
 
-// parity_test.go is the differential proof behind the pre-decoded
-// interpreter: for every benchmark kernel under every processor model, the
-// fast path and the legacy tree-walking interpreter must emit bit-identical
-// event streams, final memory images, and step counts, and the pre-decoded
-// sim.Simulator must report the same Stats as the legacy map-based
-// sim.LegacySimulator on both streams.  A separate guard pins the fast
-// path's steady state at zero allocations per step.
+// parity_test.go pins the pre-decoded interpreter to the tree-walking
+// reference interpreter it replaced.  That interpreter was retired after
+// the two had matched event for event over every kernel and model; what it
+// computed lives on in testdata/golden_events.txt and
+// testdata/golden_profiles.txt, and these tests hold the emulator to it.
+// Regenerate the files with
+//
+//	go test ./internal/emu -run 'TestFast' -update
+//
+// and only for an intended change to the emulator's semantics.  A
+// separate guard pins the steady state at zero allocations per step.
 
 import (
+	"bufio"
+	"flag"
 	"fmt"
+	"os"
+	"strings"
 	"testing"
 
 	"predication/internal/bench"
 	"predication/internal/cfg"
 	"predication/internal/core"
 	"predication/internal/emu"
+	"predication/internal/ir"
 	"predication/internal/machine"
 	"predication/internal/sim"
 )
 
-// eventHash folds every event into a running FNV-1a style hash, so a full
-// trace comparison never materializes the (multi-million event) traces.
+var update = flag.Bool("update", false, "rewrite the golden files under testdata from the current emulator")
+
+// fnv is an FNV-1a style running hash over 64-bit words.
+type fnv uint64
+
+func newFNV() fnv { return 14695981039346656037 }
+
+func (h *fnv) add(v uint64) { *h = (*h ^ fnv(v)) * 1099511628211 }
+
+// eventHash folds every event into a running hash, so a full trace
+// comparison never materializes the (multi-million event) traces.
 type eventHash struct {
-	h uint64
+	h fnv
 	n int64
 }
 
 func (s *eventHash) Event(ev emu.Event) {
-	h := s.h
-	h = (h ^ uint64(uint32(ev.ID))) * 1099511628211
-	h = (h ^ uint64(uint32(ev.Addr))) * 1099511628211
-	h = (h ^ uint64(ev.Flags)) * 1099511628211
-	h = (h ^ uint64(uint32(ev.In.Addr))) * 1099511628211
-	s.h = h
+	s.h.add(uint64(uint32(ev.ID)))
+	s.h.add(uint64(uint32(ev.Addr)))
+	s.h.add(uint64(ev.Flags))
+	s.h.add(uint64(uint32(ev.In.Addr)))
 	s.n++
 }
 
-// runArm emulates the compiled program on one data path, streaming into an
-// event hash plus one simulator per config (pre-decoded simulators for the
-// fast arm, legacy map-based ones for the legacy arm).
-func runArm(t *testing.T, c *core.Compiled, cfgs []machine.Config, legacy bool) (*emu.Result, *eventHash, []sim.Stats) {
+// golden is one recorded reference file: the expected line per key (the
+// first two fields of a line) and the lines this run produced.
+type golden struct {
+	path string
+	want map[string]string
+	got  []string
+}
+
+func loadGolden(t *testing.T, path string) *golden {
 	t.Helper()
-	hash := &eventHash{h: 14695981039346656037}
-	fan := emu.FanoutSink{hash}
-	sims := make([]interface{ Stats() sim.Stats }, len(cfgs))
-	for i, cfg := range cfgs {
-		if legacy {
-			ls := sim.NewLegacy(c.Prog, cfg)
-			sims[i] = ls
-			fan = append(fan, ls)
-		} else {
-			fs := sim.New(c.Prog, cfg)
-			sims[i] = fs
-			fan = append(fan, fs)
+	g := &golden{path: path, want: map[string]string{}}
+	if *update {
+		return g
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		if line := sc.Text(); line != "" {
+			g.want[goldenKey(line)] = line
 		}
 	}
-	res, err := emu.Run(c.Prog, emu.Options{Sink: fan, Legacy: legacy})
-	if err != nil {
-		t.Fatalf("emulate (legacy=%v): %v", legacy, err)
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
 	}
-	stats := make([]sim.Stats, len(cfgs))
-	for i, s := range sims {
-		stats[i] = s.Stats()
+	return g
+}
+
+func goldenKey(line string) string {
+	f := strings.Fields(line)
+	return f[0] + " " + f[1]
+}
+
+// check records line and compares it with the recorded line for its key.
+func (g *golden) check(t *testing.T, line string) {
+	t.Helper()
+	g.got = append(g.got, line)
+	if *update {
+		return
 	}
-	return res, hash, stats
+	if want := g.want[goldenKey(line)]; want != line {
+		t.Errorf("diverges from %s:\n  got  %s\n  want %s", g.path, line, want)
+	}
+}
+
+// finish rewrites the file under -update; otherwise it checks that every
+// recorded line was reproduced.
+func (g *golden) finish(t *testing.T) {
+	t.Helper()
+	if *update {
+		if err := os.WriteFile(g.path, []byte(strings.Join(g.got, "\n")+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	if len(g.got) != len(g.want) {
+		t.Errorf("produced %d lines, %s has %d", len(g.got), g.path, len(g.want))
+	}
+}
+
+// memHash folds a final memory image.
+func memHash(mem []int64) uint64 {
+	h := newFNV()
+	for _, w := range mem {
+		h.add(uint64(w))
+	}
+	return uint64(h)
 }
 
 // TestFastMatchesLegacyAllKernels is the suite-wide differential test:
-// every kernel × model, fast vs legacy, events hashed (ID, Addr, Flags,
-// In.Addr), plus Stats equality between sim.Simulator and
-// sim.LegacySimulator on the perfect-cache and real-cache configurations.
+// every kernel × model must reproduce the reference interpreter's run —
+// the event stream (hash over ID, Addr, Flags, In.Addr, and the count),
+// the step count, and the final memory image.
 func TestFastMatchesLegacyAllKernels(t *testing.T) {
+	g := loadGolden(t, "testdata/golden_events.txt")
 	target := machine.Issue8Br1()
-	cfgs := []machine.Config{machine.Issue8Br1(), machine.Issue8Br1Cache()}
 	models := []core.Model{core.Superblock, core.CondMove, core.FullPred}
 	for _, k := range bench.All() {
 		for _, model := range models {
@@ -82,79 +140,56 @@ func TestFastMatchesLegacyAllKernels(t *testing.T) {
 				if err != nil {
 					t.Fatalf("compile: %v", err)
 				}
-				fastRes, fastHash, fastStats := runArm(t, c, cfgs, false)
-				legRes, legHash, legStats := runArm(t, c, cfgs, true)
-
-				if fastHash.n != legHash.n {
-					t.Fatalf("event count: fast %d, legacy %d", fastHash.n, legHash.n)
+				hash := &eventHash{h: newFNV()}
+				res, err := emu.Run(c.Prog, emu.Options{Sink: hash})
+				if err != nil {
+					t.Fatalf("emulate: %v", err)
 				}
-				if fastHash.h != legHash.h {
-					t.Errorf("event stream hash: fast %#x, legacy %#x over %d events",
-						fastHash.h, legHash.h, fastHash.n)
-				}
-				if fastRes.Steps != legRes.Steps {
-					t.Errorf("steps: fast %d, legacy %d", fastRes.Steps, legRes.Steps)
-				}
-				if len(fastRes.Mem) != len(legRes.Mem) {
-					t.Fatalf("memory size: fast %d, legacy %d", len(fastRes.Mem), len(legRes.Mem))
-				}
-				for i := range fastRes.Mem {
-					if fastRes.Mem[i] != legRes.Mem[i] {
-						t.Fatalf("mem[%d]: fast %#x, legacy %#x", i, fastRes.Mem[i], legRes.Mem[i])
-					}
-				}
-				for i, cfg := range cfgs {
-					if fastStats[i] != legStats[i] {
-						t.Errorf("%s: Simulator/LegacySimulator stats diverge:\nfast:   %+v\nlegacy: %+v",
-							cfg.Name, fastStats[i], legStats[i])
-					}
-				}
+				g.check(t, fmt.Sprintf("%s %s steps=%d events=%d trace=%#x mem=%#x",
+					k.Name, strings.ReplaceAll(model.String(), " ", "_"),
+					res.Steps, hash.n, uint64(hash.h), memHash(res.Mem)))
 			})
 		}
 	}
+	g.finish(t)
 }
 
-// TestFastProfileMatchesLegacy pins that the dense-array profile counters
-// fold back into counts identical to the legacy map-based collection: the
-// same source program is profiled on both paths and every map compared
-// key-for-key (pointer keys are shared because the program object is).
+// TestFastProfileMatchesLegacy pins the dense-array profile counters to
+// the counts the reference interpreter's map-based collection produced:
+// every kernel's profile, folded in program order, plus the number of
+// entries in each map.
 func TestFastProfileMatchesLegacy(t *testing.T) {
+	g := loadGolden(t, "testdata/golden_profiles.txt")
 	for _, k := range bench.All() {
 		p := k.Build()
-		profFast, profLeg := cfg.NewProfile(), cfg.NewProfile()
-		if _, err := emu.Run(p, emu.Options{Profile: profFast}); err != nil {
-			t.Fatalf("%s: fast profiling run: %v", k.Name, err)
+		prof := cfg.NewProfile()
+		if _, err := emu.Run(p, emu.Options{Profile: prof}); err != nil {
+			t.Fatalf("%s: profiling run: %v", k.Name, err)
 		}
-		if _, err := emu.Run(p, emu.Options{Profile: profLeg, Legacy: true}); err != nil {
-			t.Fatalf("%s: legacy profiling run: %v", k.Name, err)
-		}
-		if len(profFast.BlockCount) != len(profLeg.BlockCount) ||
-			len(profFast.FallExit) != len(profLeg.FallExit) ||
-			len(profFast.Taken) != len(profLeg.Taken) ||
-			len(profFast.NotTaken) != len(profLeg.NotTaken) {
-			t.Fatalf("%s: profile map sizes diverge", k.Name)
-		}
-		for b, n := range profLeg.BlockCount {
-			if profFast.BlockCount[b] != n {
-				t.Fatalf("%s: BlockCount[B%d] fast %d, legacy %d", k.Name, b.ID, profFast.BlockCount[b], n)
+		g.check(t, fmt.Sprintf("%s profile entries=%d/%d/%d/%d counts=%#x", k.Name,
+			len(prof.BlockCount), len(prof.FallExit), len(prof.Taken), len(prof.NotTaken),
+			profileHash(p, prof)))
+	}
+	g.finish(t)
+}
+
+// profileHash folds every profile counter in program order.
+func profileHash(p *ir.Program, prof *cfg.Profile) uint64 {
+	h := newFNV()
+	for _, f := range p.Funcs {
+		for _, b := range f.Blocks {
+			if b == nil {
+				continue
 			}
-		}
-		for b, n := range profLeg.FallExit {
-			if profFast.FallExit[b] != n {
-				t.Fatalf("%s: FallExit[B%d] fast %d, legacy %d", k.Name, b.ID, profFast.FallExit[b], n)
-			}
-		}
-		for in, n := range profLeg.Taken {
-			if profFast.Taken[in] != n {
-				t.Fatalf("%s: Taken[%v] fast %d, legacy %d", k.Name, in, profFast.Taken[in], n)
-			}
-		}
-		for in, n := range profLeg.NotTaken {
-			if profFast.NotTaken[in] != n {
-				t.Fatalf("%s: NotTaken[%v] fast %d, legacy %d", k.Name, in, profFast.NotTaken[in], n)
+			h.add(uint64(prof.BlockCount[b]))
+			h.add(uint64(prof.FallExit[b]))
+			for _, in := range b.Instrs {
+				h.add(uint64(prof.Taken[in]))
+				h.add(uint64(prof.NotTaken[in]))
 			}
 		}
 	}
+	return uint64(h)
 }
 
 // TestFastPathSteadyStateZeroAllocs is the allocation gate: one full
@@ -174,7 +209,7 @@ func TestFastPathSteadyStateZeroAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	s := sim.New(c.Prog, machine.Issue8Br1())
+	s := sim.NewTiming(c.Prog, machine.Issue8Br1())
 	var steps int64
 	allocs := testing.AllocsPerRun(2, func() {
 		res, err := code.Run(emu.Options{Sink: s})

@@ -17,12 +17,12 @@ import (
 // daemon (internal/serve) computes single (kernel, model, machine) cells
 // on demand and caches the compiled artifacts content-addressed, so the
 // compile and measure halves of runCell are exposed as reusable steps.
-// Run and Precompile keep using the same primitives internally, which
-// pins the served numbers to the ones the figures report.
+// Run measures on the same engine (one sim.Gang per cell), which pins the
+// served numbers to the ones the figures report.
 
 // SchedTarget maps a simulator configuration to the machine its code is
 // scheduled for.  The cache variants share the perfect-cache schedules
-// (caches change timing, not compilation — see schedTargets/simsFor),
+// (caches change timing, not compilation — see schedTargets/SimsFor),
 // and predictor variants ("issue8-br1+gshare") schedule like their base
 // machine: the predictor is a front-end structure the scheduler never
 // sees.
@@ -105,33 +105,6 @@ type Measurement struct {
 	Account  *obs.CycleAccount
 }
 
-// Measure emulates the artifact once, streaming the dynamic trace into a
-// pre-decoded simulator for cfg.  With observe set the simulator is
-// instrumented with a cycle account, which is verified against the final
-// stats before returning.  cfg must schedule-target the artifact's
-// Target (see SchedTarget); measuring on a mismatched machine is not an
-// error — it is the ablation of running code scheduled for one machine
-// on another — so no check is enforced here.
-func (a *CellArtifact) Measure(cfg machine.Config, observe bool) (*Measurement, error) {
-	s := sim.NewTiming(a.Compiled.Prog, cfg)
-	var acct *obs.CycleAccount
-	if observe {
-		acct = &obs.CycleAccount{}
-		s.Instrument(acct)
-	}
-	run, err := a.Code.Run(emu.Options{Sink: s, MaxSteps: a.MaxSteps})
-	if err != nil {
-		return nil, fmt.Errorf("%s %v @ %s: emulate: %w", a.Kernel, a.Model, cfg.Name, err)
-	}
-	st := s.Stats()
-	if acct != nil {
-		if err := acct.Verify(st.Cycles, st.Instrs, st.Nullified); err != nil {
-			return nil, fmt.Errorf("%s %v @ %s: cycle accounting: %w", a.Kernel, a.Model, cfg.Name, err)
-		}
-	}
-	return &Measurement{Stats: st, Checksum: checksumOf(run), Steps: run.Steps, Account: acct}, nil
-}
-
 // checksumOf reads the conventional checksum word.  Kernels always
 // allocate it, but a submitted program may declare a memory too small to
 // hold one — that is a zero checksum, not an out-of-range panic.
@@ -144,12 +117,15 @@ func checksumOf(run *emu.Result) int64 {
 
 // MeasureAll emulates the artifact once and measures every given
 // machine configuration in that single pass through a sim.Gang, one
-// lane per configuration — the single-pass multi-config form of
-// Measure.  The returned measurements parallel cfgs and share the run's
-// checksum and step count (there was exactly one emulation).  With
-// observe set every lane carries its own cycle account, each verified
-// against that lane's stats.  The serving daemon uses this to fill all
-// sibling cache entries of a cell from one emulation.
+// lane per configuration.  The returned measurements parallel cfgs and
+// share the run's checksum and step count (there was exactly one
+// emulation).  With observe set every lane carries its own cycle
+// account, each verified against that lane's stats.  A configuration
+// need not schedule-target the artifact's Target (see SchedTarget):
+// measuring on a mismatched machine is the ablation of running code
+// scheduled for one machine on another, so no check is enforced.  The
+// serving daemon uses this to fill all sibling cache entries of a cell
+// from one emulation.
 func (a *CellArtifact) MeasureAll(cfgs []machine.Config, observe bool) ([]*Measurement, error) {
 	if len(cfgs) == 0 {
 		return nil, fmt.Errorf("%s %v: MeasureAll needs at least one configuration", a.Kernel, a.Model)
@@ -180,12 +156,4 @@ func (a *CellArtifact) MeasureAll(cfgs []machine.Config, observe bool) ([]*Measu
 		ms[i] = m
 	}
 	return ms, nil
-}
-
-// SimsFor returns the simulator configurations whose measurements share
-// code scheduled for the given target — the sibling set MeasureAll can
-// fill from one emulation (the exported form of the harness's
-// simsFor).
-func SimsFor(target machine.Config) []machine.Config {
-	return simsFor(target)
 }

@@ -18,7 +18,6 @@ import (
 	"predication/internal/bench"
 	"predication/internal/core"
 	"predication/internal/emu"
-	"predication/internal/ir"
 	"predication/internal/machine"
 	"predication/internal/obs"
 	"predication/internal/sim"
@@ -72,8 +71,8 @@ type Suite struct {
 	Errors []*CellError
 	// Steps totals the dynamic instructions emulated by the measured runs
 	// (each kernel's reference run plus one emulation per matrix cell;
-	// profiling runs inside Compile are excluded).  cmd/predbench divides
-	// wall clock by this to report steps/second.
+	// profiling runs inside Compile are excluded); figures -stats-json
+	// reports it.
 	Steps int64
 }
 
@@ -98,20 +97,11 @@ type Options struct {
 	// (0 = unbounded).  An exceeded budget is a TimeoutError for that
 	// cell only.
 	CellTimeout time.Duration
-	// LegacyEmu runs the whole suite on the pre-optimization data path:
-	// the legacy tree-walking interpreter for profiling, reference, and
-	// traced runs, and the legacy map-based sim.LegacySimulator for
-	// timing.  Results are identical; only the wall clock differs.  It is
-	// the baseline arm of cmd/predbench (see docs/PERFORMANCE.md).
-	LegacyEmu bool
 	// Observe attaches the observability layer to every matrix cell: each
-	// simulator gets a cycle account (BenchResult.Accounts) and each
-	// compile a stage trace (BenchResult.Pipelines).  Accounts require
-	// the pre-decoded simulator, so Observe combined with LegacyEmu is an
-	// error from Run (it used to be silently ignored, handing callers
-	// empty breakdowns with no diagnostic).  The merge verifies every
-	// account against its cell's Stats; a decomposition violation is a
-	// CellError like any other cell fault.
+	// simulated configuration gets a cycle account (BenchResult.Accounts)
+	// and each compile a stage trace (BenchResult.Pipelines).  The merge
+	// verifies every account against its cell's Stats; a decomposition
+	// violation is a CellError like any other cell fault.
 	Observe bool
 	// Registry, when non-nil, receives suite-level counters (cells_ok,
 	// cells_failed, steps_total) and a per-cell dynamic-step histogram
@@ -129,16 +119,8 @@ type Options struct {
 	// model; a positive value runs every machine configuration on the
 	// out-of-order issue-window scheduler with that many window entries,
 	// under a suffixed name ("issue8-br1+ooo32").  The first listed
-	// window keeps the bare configuration names.  Out-of-order windows
-	// have no legacy simulator, so a nonzero window combined with
-	// LegacyEmu is an error from Run.  See windows.go.
+	// window keeps the bare configuration names.  See windows.go.
 	Windows []int
-	// PerConfigSim opts out of the gang simulator: each matrix cell runs
-	// one sim.Simulator per machine configuration behind an
-	// emu.FanoutSink, the pre-gang data path.  Results are identical
-	// (the gang is pinned Stats-identical to the per-config simulator);
-	// only the wall clock differs.  The legacy path implies it.
-	PerConfigSim bool
 }
 
 // schedTargets are the machine configurations code is scheduled for.  The
@@ -151,9 +133,10 @@ var schedTargets = []machine.Config{
 	machine.Issue8Br2(),
 }
 
-// simsFor returns the simulator configurations to run against code
-// scheduled for the given target.
-func simsFor(target machine.Config) []machine.Config {
+// SimsFor returns the simulator configurations whose measurements share
+// code scheduled for the given target: the sibling set one emulation
+// prices, in each matrix cell of Run and in MeasureAll's callers.
+func SimsFor(target machine.Config) []machine.Config {
 	switch target.Name {
 	case "issue1":
 		return []machine.Config{machine.Issue1(), machine.Issue1Cache()}
@@ -189,28 +172,19 @@ func matrixCells() []cellSpec {
 // simulator configuration sharing the cell's scheduled code, plus the
 // cell's own checksum (validated against the reference run at merge).
 type cellResult struct {
-	stats    []sim.Stats // parallel to simsFor(target)
+	stats    []sim.Stats // parallel to simConfigs(target, ...)
 	checksum int64
 	steps    int64 // dynamic instructions in the cell's emulation
 	// accounts and pipeline are populated only under Options.Observe
-	// (accounts parallel to stats; nil entries under the legacy path).
+	// (accounts parallel to stats).
 	accounts []*obs.CycleAccount
 	pipeline *obs.PipelineTrace
-}
-
-// streamSim is the surface runCell needs from either simulator
-// implementation (the pre-decoded Simulator or the LegacySimulator).
-type streamSim interface {
-	emu.TraceSink
-	Stats() sim.Stats
 }
 
 // cellOpts is the per-cell slice of Options (predictors already
 // normalized).
 type cellOpts struct {
-	legacy     bool
 	observe    bool
-	perConfig  bool
 	predictors []string
 	windows    []int
 }
@@ -219,16 +193,13 @@ type cellOpts struct {
 // emulates the compiled program once, and measures every simulator
 // configuration sharing the scheduled code in that single pass — the
 // compile-once / emulate-once / simulate-many core of the harness.  The
-// trace is never materialized.  The default data path streams the batch
-// into a sim.Gang, one lane per configuration; the per-config fallback
-// (and the legacy path, whose simulator has no gang form) fans the
-// stream out into one simulator per configuration instead.
+// trace is never materialized: the emulator's batches stream into a
+// sim.Gang, one lane per configuration.
 func runCell(k *bench.Kernel, cell cellSpec, o cellOpts) (*cellResult, error) {
 	if CellHook != nil {
 		CellHook(k.Name, cell.model, cell.target.Name)
 	}
 	copts := core.DefaultOptions(cell.target)
-	copts.LegacyEmu = o.legacy
 	var pipe *obs.PipelineTrace
 	if o.observe {
 		pipe = obs.NewPipelineTrace()
@@ -239,60 +210,23 @@ func runCell(k *bench.Kernel, cell cellSpec, o cellOpts) (*cellResult, error) {
 		return nil, fmt.Errorf("%v @ %s: %w", cell.model, cell.target.Name, err)
 	}
 	cfgs := simConfigs(cell.target, o.predictors, o.windows)
-
-	if !o.legacy && !o.perConfig {
-		g := sim.NewGang(c.Prog, cfgs)
-		var accounts []*obs.CycleAccount
-		if o.observe {
-			accounts = make([]*obs.CycleAccount, len(cfgs))
-			for i := range cfgs {
-				accounts[i] = &obs.CycleAccount{}
-				g.Instrument(i, accounts[i])
-			}
-		}
-		run, err := emu.Run(c.Prog, emu.Options{Sink: g})
-		if err != nil {
-			return nil, fmt.Errorf("%v @ %s: emulate: %w", cell.model, cell.target.Name, err)
-		}
-		res := &cellResult{checksum: run.Word(bench.CheckAddr), steps: run.Steps,
-			accounts: accounts, pipeline: pipe}
-		for i := range cfgs {
-			res.stats = append(res.stats, g.Stats(i))
-		}
-		return res, nil
-	}
-
-	sims := make([]streamSim, len(cfgs))
+	g := sim.NewGang(c.Prog, cfgs)
 	var accounts []*obs.CycleAccount
-	for i, sc := range cfgs {
-		if o.legacy {
-			sims[i] = sim.NewLegacy(c.Prog, sc)
-		} else {
-			s := sim.NewTiming(c.Prog, sc)
-			if o.observe {
-				var a obs.CycleAccount
-				s.Instrument(&a)
-				accounts = append(accounts, &a)
-			}
-			sims[i] = s
+	if o.observe {
+		accounts = make([]*obs.CycleAccount, len(cfgs))
+		for i := range cfgs {
+			accounts[i] = &obs.CycleAccount{}
+			g.Instrument(i, accounts[i])
 		}
 	}
-	var sink emu.TraceSink = sims[0]
-	if len(sims) > 1 {
-		fan := make(emu.FanoutSink, len(sims))
-		for i, s := range sims {
-			fan[i] = s
-		}
-		sink = fan
-	}
-	run, err := emu.Run(c.Prog, emu.Options{Sink: sink, Legacy: o.legacy})
+	run, err := emu.Run(c.Prog, emu.Options{Sink: g})
 	if err != nil {
 		return nil, fmt.Errorf("%v @ %s: emulate: %w", cell.model, cell.target.Name, err)
 	}
 	res := &cellResult{checksum: run.Word(bench.CheckAddr), steps: run.Steps,
 		accounts: accounts, pipeline: pipe}
-	for _, s := range sims {
-		res.stats = append(res.stats, s.Stats())
+	for i := range cfgs {
+		res.stats = append(res.stats, g.Stats(i))
 	}
 	return res, nil
 }
@@ -309,9 +243,6 @@ func runCell(k *bench.Kernel, cell cellSpec, o cellOpts) (*cellResult, error) {
 // complete.  Options.FailFast restores the old first-error cancellation,
 // where the lowest-indexed failing job aborts the run.
 func Run(opts Options) (*Suite, error) {
-	if opts.Observe && opts.LegacyEmu {
-		return nil, fmt.Errorf("experiments: Options.Observe is unsupported with Options.LegacyEmu: cycle accounting instruments the pre-decoded simulator only (run without LegacyEmu to observe)")
-	}
 	predictors, err := normalizePredictors(opts.Predictors)
 	if err != nil {
 		return nil, err
@@ -320,15 +251,7 @@ func Run(opts Options) (*Suite, error) {
 	if err != nil {
 		return nil, err
 	}
-	if opts.LegacyEmu {
-		for _, w := range windows {
-			if w > 0 {
-				return nil, fmt.Errorf("experiments: Options.Windows is unsupported with Options.LegacyEmu: the out-of-order scheduler has no legacy simulator (run without LegacyEmu to sweep windows)")
-			}
-		}
-	}
-	co := cellOpts{legacy: opts.LegacyEmu, observe: opts.Observe,
-		perConfig: opts.PerConfigSim, predictors: predictors, windows: windows}
+	co := cellOpts{observe: opts.Observe, predictors: predictors, windows: windows}
 	kernels := bench.All()
 	if opts.Kernels != nil {
 		named := make([]*bench.Kernel, 0, len(opts.Kernels))
@@ -369,7 +292,7 @@ func Run(opts Options) (*Suite, error) {
 		var ce *CellError
 		if i%stride == 0 {
 			ref, err := guardCell(opts.CellTimeout, func() (*cellResult, error) {
-				r, err := emu.Run(k.Build(), emu.Options{Legacy: opts.LegacyEmu})
+				r, err := emu.Run(k.Build(), emu.Options{})
 				if err != nil {
 					return nil, err
 				}
@@ -497,333 +420,6 @@ func Run(opts Options) (*Suite, error) {
 	return suite, nil
 }
 
-// Precompiled holds every program of the suite matrix compiled once, so
-// the benchmark harness (cmd/predbench) can time the two interpreter
-// paths over identical inputs with the compilation cost factored out.
-// Compilation is shared deliberately: the fast and legacy interpreters
-// produce identical profiles (pinned by the differential tests), so the
-// compiled code is the same either way, and timing RunArm isolates
-// exactly the work the data paths differ in — emulation and simulation.
-type Precompiled struct {
-	kernels  []*bench.Kernel
-	cells    []cellSpec
-	progs    []*core.Compiled // [kernel*len(cells)+cell]
-	refs     []*ir.Program    // [kernel]: uncompiled reference program
-	codes    []*emu.Code      // pre-decoded progs (fast arm; parallel to progs)
-	refCodes []*emu.Code      // pre-decoded refs (fast arm; parallel to refs)
-}
-
-// Precompile compiles the kernel × model × target matrix on the standard
-// pipeline, fanning out across parallel workers (0 = GOMAXPROCS).
-func Precompile(names []string, parallel int) (*Precompiled, error) {
-	kernels := bench.All()
-	if names != nil {
-		named := make([]*bench.Kernel, 0, len(names))
-		for _, name := range names {
-			k, err := bench.ByName(name)
-			if err != nil {
-				return nil, err
-			}
-			named = append(named, k)
-		}
-		kernels = named
-	}
-	p := &Precompiled{
-		kernels:  kernels,
-		cells:    matrixCells(),
-		refs:     make([]*ir.Program, len(kernels)),
-		refCodes: make([]*emu.Code, len(kernels)),
-	}
-	p.progs = make([]*core.Compiled, len(kernels)*len(p.cells))
-	p.codes = make([]*emu.Code, len(p.progs))
-	err := runJobs(len(p.progs)+len(kernels), parallel, func(i int) error {
-		if i >= len(p.progs) {
-			ki := i - len(p.progs)
-			p.refs[ki] = kernels[ki].Build()
-			code, err := emu.Decode(p.refs[ki])
-			if err != nil {
-				return fmt.Errorf("%s: decode reference: %w", kernels[ki].Name, err)
-			}
-			p.refCodes[ki] = code
-			return nil
-		}
-		k := kernels[i/len(p.cells)]
-		cell := p.cells[i%len(p.cells)]
-		c, err := core.Compile(k.Build(), cell.model, core.DefaultOptions(cell.target))
-		if err != nil {
-			return fmt.Errorf("%s %v @ %s: %w", k.Name, cell.model, cell.target.Name, err)
-		}
-		p.progs[i] = c
-		code, err := emu.Decode(c.Prog)
-		if err != nil {
-			return fmt.Errorf("%s %v @ %s: decode: %w", k.Name, cell.model, cell.target.Name, err)
-		}
-		p.codes[i] = code
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return p, nil
-}
-
-// RunArm runs the whole emulation + simulation workload of the suite —
-// each kernel's reference run, then one emulation per matrix cell
-// streamed into one simulator per machine configuration — on the
-// selected interpreter path, and returns the total dynamic instructions
-// emulated.  Checksums are validated against each kernel's reference
-// run; any mismatch or trap is an error.  The compiled programs come
-// from Precompile and are reused across arms (runs never mutate them).
-func (p *Precompiled) RunArm(legacy bool, parallel int) (int64, error) {
-	steps := make([]int64, len(p.progs)+len(p.kernels))
-	sums := make([]int64, len(p.progs)+len(p.kernels))
-	// Memory images recycle through a pool so the timed region does not
-	// allocate multi-megabyte buffers per run (identically for both arms;
-	// see emu.Options.MemBuf).
-	var memPool sync.Pool
-	getBuf := func() []int64 { b, _ := memPool.Get().([]int64); return b }
-	// The fast arm runs the pre-decoded code from Precompile (decoding is
-	// a one-time cost by design: decode once, emulate many); the legacy
-	// interpreter walks the ir.Program directly and has no decode step.
-	run := func(prog *ir.Program, code *emu.Code, opts emu.Options) (*emu.Result, error) {
-		if legacy {
-			opts.Legacy = true
-			return emu.Run(prog, opts)
-		}
-		return code.Run(opts)
-	}
-	err := runJobs(len(steps), parallel, func(i int) error {
-		if i >= len(p.progs) {
-			ki := i - len(p.progs)
-			r, err := run(p.refs[ki], p.refCodes[ki], emu.Options{MemBuf: getBuf()})
-			if err != nil {
-				return fmt.Errorf("%s: reference: %w", p.kernels[ki].Name, err)
-			}
-			steps[i], sums[i] = r.Steps, r.Word(bench.CheckAddr)
-			memPool.Put(r.Mem)
-			return nil
-		}
-		k := p.kernels[i/len(p.cells)]
-		cell := p.cells[i%len(p.cells)]
-		cfgs := simsFor(cell.target)
-		sims := make([]streamSim, len(cfgs))
-		for si, sc := range cfgs {
-			if legacy {
-				sims[si] = sim.NewLegacy(p.progs[i].Prog, sc)
-			} else {
-				sims[si] = sim.New(p.progs[i].Prog, sc)
-			}
-		}
-		var sink emu.TraceSink = sims[0]
-		if len(sims) > 1 {
-			fan := make(emu.FanoutSink, len(sims))
-			for si, s := range sims {
-				fan[si] = s
-			}
-			sink = fan
-		}
-		r, err := run(p.progs[i].Prog, p.codes[i], emu.Options{Sink: sink, MemBuf: getBuf()})
-		if err != nil {
-			return fmt.Errorf("%s %v @ %s: emulate: %w", k.Name, cell.model, cell.target.Name, err)
-		}
-		steps[i], sums[i] = r.Steps, r.Word(bench.CheckAddr)
-		memPool.Put(r.Mem)
-		return nil
-	})
-	if err != nil {
-		return 0, err
-	}
-	var total int64
-	for ki := range p.kernels {
-		ref := sums[len(p.progs)+ki]
-		for ci := range p.cells {
-			if got := sums[ki*len(p.cells)+ci]; got != ref {
-				return 0, fmt.Errorf("%s %v @ %s: checksum mismatch %#x != %#x",
-					p.kernels[ki].Name, p.cells[ci].model, p.cells[ci].target.Name, got, ref)
-			}
-		}
-	}
-	for _, s := range steps {
-		total += s
-	}
-	return total, nil
-}
-
-// RunSweepArm runs the full-matrix sweep workload: every precompiled
-// (kernel, model, sched-target) artifact measured on every machine
-// configuration, crossed with the predictor and window axes.  This is the workload
-// shape of the paper's headline figures, where one dynamic stream
-// prices many machines.  gang selects the data path:
-//
-//   - gang=true emulates each artifact once, streaming the batches into
-//     a sim.Gang that prices every configuration in that single pass.
-//
-//   - gang=false reproduces the pre-gang harness's cost model: one
-//     Measure-style pass — one emulation streamed into one Simulator —
-//     per configuration, which is exactly what CellArtifact.Measure
-//     (and the serving daemon, per cache miss) ran per configuration
-//     before MeasureAll existed.
-//
-// cmd/predbench times the two against each other in BENCH_PR6.json.
-// Checksums are validated across every run of each kernel; the return
-// value is the total dynamic instructions actually emulated by the arm
-// (the per-config arm emulates each artifact len(configs) times, and
-// its step count says so).
-func (p *Precompiled) RunSweepArm(gang bool, parallel int, predictors []string, windows []int) (int64, error) {
-	preds, err := normalizePredictors(predictors)
-	if err != nil {
-		return 0, err
-	}
-	wins, err := normalizeWindows(windows)
-	if err != nil {
-		return 0, err
-	}
-	cfgs := sweepConfigs(preds, wins)
-	steps := make([]int64, len(p.progs))
-	sums := make([]int64, len(p.progs))
-	var memPool sync.Pool
-	getBuf := func() []int64 { b, _ := memPool.Get().([]int64); return b }
-	err = runJobs(len(p.progs), parallel, func(i int) error {
-		k := p.kernels[i/len(p.cells)]
-		cell := p.cells[i%len(p.cells)]
-		if gang {
-			g := sim.NewGang(p.progs[i].Prog, cfgs)
-			r, err := p.codes[i].Run(emu.Options{Sink: g, MemBuf: getBuf()})
-			if err != nil {
-				return fmt.Errorf("%s %v @ %s: emulate: %w", k.Name, cell.model, cell.target.Name, err)
-			}
-			steps[i], sums[i] = r.Steps, r.Word(bench.CheckAddr)
-			memPool.Put(r.Mem)
-			return nil
-		}
-		for ci, sc := range cfgs {
-			s := sim.NewTiming(p.progs[i].Prog, sc)
-			r, err := p.codes[i].Run(emu.Options{Sink: s, MemBuf: getBuf()})
-			if err != nil {
-				return fmt.Errorf("%s %v @ %s on %s: emulate: %w", k.Name, cell.model, cell.target.Name, sc.Name, err)
-			}
-			sum := r.Word(bench.CheckAddr)
-			if ci == 0 {
-				sums[i] = sum
-			} else if sum != sums[i] {
-				return fmt.Errorf("%s %v @ %s on %s: checksum mismatch %#x != %#x",
-					k.Name, cell.model, cell.target.Name, sc.Name, sum, sums[i])
-			}
-			steps[i] += r.Steps
-			memPool.Put(r.Mem)
-		}
-		return nil
-	})
-	if err != nil {
-		return 0, err
-	}
-	// Without reference runs in the timed region, the cells of one kernel
-	// validate against each other: every compilation model must compute
-	// the same checksum.
-	var total int64
-	for ki := range p.kernels {
-		ref := sums[ki*len(p.cells)]
-		for ci := range p.cells {
-			if got := sums[ki*len(p.cells)+ci]; got != ref {
-				return 0, fmt.Errorf("%s %v @ %s: checksum mismatch %#x != %#x",
-					p.kernels[ki].Name, p.cells[ci].model, p.cells[ci].target.Name, got, ref)
-			}
-		}
-	}
-	for _, s := range steps {
-		total += s
-	}
-	return total, nil
-}
-
-// SweepMachines enumerates the metadata of every simulator configuration
-// the full-matrix sweep (RunSweepArm) measures, in reporting order, for
-// the benchmark report's self-description.
-func (p *Precompiled) SweepMachines(predictors []string, windows []int) ([]obs.MachineMeta, error) {
-	preds, err := normalizePredictors(predictors)
-	if err != nil {
-		return nil, err
-	}
-	wins, err := normalizeWindows(windows)
-	if err != nil {
-		return nil, err
-	}
-	var metas []obs.MachineMeta
-	for _, cfg := range sweepConfigs(preds, wins) {
-		metas = append(metas, obs.MachineMetaOf(cfg))
-	}
-	return metas, nil
-}
-
-// Machines enumerates the metadata of every simulator configuration the
-// precompiled matrix exercises, deduplicated in first-seen matrix order.
-// cmd/predbench embeds the list in its JSON report so committed benchmark
-// artifacts are self-describing about the machines they measured.
-func (p *Precompiled) Machines() []obs.MachineMeta {
-	var metas []obs.MachineMeta
-	seen := map[string]bool{}
-	for _, cell := range p.cells {
-		for _, cfg := range simsFor(cell.target) {
-			if seen[cfg.Name] {
-				continue
-			}
-			seen[cfg.Name] = true
-			metas = append(metas, obs.MachineMetaOf(cfg))
-		}
-	}
-	return metas
-}
-
-// Breakdowns runs one instrumented emulation per kernel and model over the
-// precompiled 8-issue 1-branch programs and returns each model's aggregate
-// stall-cycle breakdown, keyed by model name.  Every account is
-// Verify-checked against its run's stats.  cmd/predbench attaches the
-// result to its report — outside the timed region, on the fast path only.
-func (p *Precompiled) Breakdowns(parallel int) (map[string]*obs.CycleAccount, error) {
-	type job struct {
-		model core.Model
-		prog  *core.Compiled
-		code  *emu.Code
-		name  string
-	}
-	var jobs []job
-	for i, cell := range p.cells {
-		if cell.target.Name != "issue8-br1" {
-			continue
-		}
-		for ki := range p.kernels {
-			idx := ki*len(p.cells) + i
-			jobs = append(jobs, job{cell.model, p.progs[idx], p.codes[idx], p.kernels[ki].Name})
-		}
-	}
-	accounts := make([]obs.CycleAccount, len(jobs))
-	err := runJobs(len(jobs), parallel, func(i int) error {
-		s := sim.New(jobs[i].prog.Prog, machine.Issue8Br1())
-		s.Instrument(&accounts[i])
-		if _, err := jobs[i].code.Run(emu.Options{Sink: s}); err != nil {
-			return fmt.Errorf("%s %v: emulate: %w", jobs[i].name, jobs[i].model, err)
-		}
-		st := s.Stats()
-		if err := accounts[i].Verify(st.Cycles, st.Instrs, st.Nullified); err != nil {
-			return fmt.Errorf("%s %v: cycle accounting: %w", jobs[i].name, jobs[i].model, err)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	agg := map[string]*obs.CycleAccount{}
-	for i, j := range jobs {
-		a, ok := agg[j.model.String()]
-		if !ok {
-			a = &obs.CycleAccount{}
-			agg[j.model.String()] = a
-		}
-		a.Add(&accounts[i])
-	}
-	return agg, nil
-}
-
 // RunBenchmark measures one kernel across all models and configurations,
 // fanning its matrix cells out across the worker pool.
 func RunBenchmark(k *bench.Kernel) (*BenchResult, error) {
@@ -857,7 +453,7 @@ func RunBenchmark(k *bench.Kernel) (*BenchResult, error) {
 			return nil, fmt.Errorf("%v @ %s: checksum mismatch %#x != %#x",
 				cell.model, cell.target.Name, cr.checksum, res.Checksum)
 		}
-		for si, sc := range simsFor(cell.target) {
+		for si, sc := range SimsFor(cell.target) {
 			res.Stats[Key{cell.model, sc.Name}] = cr.stats[si]
 		}
 	}

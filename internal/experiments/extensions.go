@@ -38,7 +38,7 @@ func measureKernel(name string, model core.Model, mc machine.Config, mutate func
 	if err != nil {
 		return sim.Stats{}, nil, err
 	}
-	s := sim.New(c.Prog, mc)
+	s := sim.NewTiming(c.Prog, mc)
 	if _, err := emu.Run(c.Prog, emu.Options{Sink: s}); err != nil {
 		return sim.Stats{}, nil, err
 	}

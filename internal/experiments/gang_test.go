@@ -1,39 +1,45 @@
 package experiments
 
 import (
-	"reflect"
 	"testing"
 
 	"predication/internal/core"
 	"predication/internal/machine"
 )
 
-// TestGangMatchesPerConfig pins the harness-level gang refactor: a suite
-// run on the default gang data path is Stats-identical, key for key, to
-// the per-config fallback (Options.PerConfigSim).
+// TestGangMatchesPerConfig pins the harness's single-pass cells: every
+// Stats a suite run reports — each cell's configurations priced by one
+// gang over one emulation — equals a separate one-lane measurement of the
+// same compiled artifact per configuration.
 func TestGangMatchesPerConfig(t *testing.T) {
-	kernels := []string{"wc", "grep", "qsort"}
-	gang, err := Run(Options{Kernels: kernels})
+	suite, err := Run(Options{Kernels: []string{"wc", "grep", "qsort"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	per, err := Run(Options{Kernels: kernels, PerConfigSim: true})
-	if err != nil {
-		t.Fatal(err)
+	if len(suite.Errors) != 0 {
+		t.Fatalf("cell errors: %v", suite.Errors)
 	}
-	if len(gang.Errors) != 0 || len(per.Errors) != 0 {
-		t.Fatalf("cell errors: gang %v, per-config %v", gang.Errors, per.Errors)
-	}
-	if gang.Steps != per.Steps {
-		t.Errorf("steps diverge: gang %d, per-config %d", gang.Steps, per.Steps)
-	}
-	for i, r := range gang.Results {
-		pr := per.Results[i]
-		if r.Name != pr.Name || r.Checksum != pr.Checksum {
-			t.Fatalf("merge order diverges at %d: %s/%s", i, r.Name, pr.Name)
+	for _, r := range suite.Results {
+		n := 0
+		for _, cell := range matrixCells() {
+			art, err := CompileCell(r.Name, cell.model, cell.target)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, cfg := range SimsFor(cell.target) {
+				ms, err := art.MeasureAll([]machine.Config{cfg}, false)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := r.Stat(cell.model, cfg.Name); got != ms[0].Stats {
+					t.Errorf("%s %v @ %s: suite cell diverges from a one-lane measurement:\n  suite %+v\n  lane  %+v",
+						r.Name, cell.model, cfg.Name, got, ms[0].Stats)
+				}
+				n++
+			}
 		}
-		if !reflect.DeepEqual(r.Stats, pr.Stats) {
-			t.Errorf("%s: stats diverge between gang and per-config paths", r.Name)
+		if n != len(r.Stats) {
+			t.Errorf("%s: compared %d cells, the suite measured %d", r.Name, n, len(r.Stats))
 		}
 	}
 }
@@ -104,7 +110,7 @@ func TestPredictorValidation(t *testing.T) {
 
 // TestMeasureAll pins the exported single-pass cell surface: one
 // emulation fills every sibling configuration with measurements
-// identical to per-config Measure.
+// identical to measuring each configuration on its own.
 func TestMeasureAll(t *testing.T) {
 	art, err := CompileCell("wc", core.FullPred, machine.Issue8Br1())
 	if err != nil {
@@ -119,54 +125,19 @@ func TestMeasureAll(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, cfg := range cfgs {
-		ref, err := art.Measure(cfg, true)
+		one, err := art.MeasureAll([]machine.Config{cfg}, true)
 		if err != nil {
 			t.Fatal(err)
 		}
+		ref := one[0]
 		if ms[i].Stats != ref.Stats || ms[i].Checksum != ref.Checksum || ms[i].Steps != ref.Steps {
-			t.Errorf("%s: MeasureAll diverges from Measure:\n  all %+v\n  one %+v", cfg.Name, ms[i], ref)
+			t.Errorf("%s: gang lane diverges from a one-lane measurement:\n  all %+v\n  one %+v", cfg.Name, ms[i], ref)
 		}
 		if *ms[i].Account != *ref.Account {
-			t.Errorf("%s: MeasureAll account diverges from Measure", cfg.Name)
+			t.Errorf("%s: gang lane account diverges from a one-lane measurement", cfg.Name)
 		}
 	}
 	if _, err := art.MeasureAll(nil, false); err == nil {
 		t.Error("MeasureAll accepted an empty configuration list")
-	}
-}
-
-// TestRunSweepArmPaths pins the benchmark sweep's cost model: the gang
-// arm emulates each artifact once, the per-config arm once per machine
-// configuration (the pre-gang Measure pattern), so its step count is
-// exactly len(sweep configs) times the gang arm's.  The gang path also
-// accepts the predictor axis.
-func TestRunSweepArmPaths(t *testing.T) {
-	p, err := Precompile([]string{"wc", "grep"}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gangSteps, err := p.RunSweepArm(true, 0, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	perSteps, err := p.RunSweepArm(false, 0, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gangSteps == 0 || perSteps != 6*gangSteps {
-		t.Errorf("sweep steps: gang %d, per-config %d (want exactly 6x gang)", gangSteps, perSteps)
-	}
-	if _, err := p.RunSweepArm(true, 0, []string{"btb", "gshare"}, nil); err != nil {
-		t.Errorf("gshare sweep: %v", err)
-	}
-	if _, err := p.RunSweepArm(true, 0, []string{"bad"}, nil); err == nil {
-		t.Error("sweep accepted unknown predictor")
-	}
-	metas, err := p.SweepMachines([]string{"btb", "gshare"}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(metas) != 12 {
-		t.Errorf("want 12 sweep machines, got %d", len(metas))
 	}
 }

@@ -83,46 +83,3 @@ func TestRunObserve(t *testing.T) {
 		t.Errorf("IPC table has %d rows for %d results", len(it.Rows), len(suite.Results))
 	}
 }
-
-// TestRunObserveLegacy: the legacy arm has no fast-path instrumentation,
-// so Observe combined with LegacyEmu must be rejected up front with a
-// diagnostic — it used to be silently ignored, handing callers empty
-// breakdowns with nothing explaining why (regression guard).
-func TestRunObserveLegacy(t *testing.T) {
-	suite, err := Run(Options{Kernels: []string{"wc"}, Observe: true, LegacyEmu: true})
-	if err == nil {
-		t.Fatal("Observe+LegacyEmu succeeded; want an unsupported-combination error")
-	}
-	if suite != nil {
-		t.Errorf("Observe+LegacyEmu returned a suite alongside the error")
-	}
-	if msg := err.Error(); !strings.Contains(msg, "Observe") || !strings.Contains(msg, "LegacyEmu") {
-		t.Errorf("error %q does not name the conflicting options", msg)
-	}
-	if strings.Contains(err.Error(), "\n") {
-		t.Errorf("diagnostic is not one line: %q", err.Error())
-	}
-}
-
-// TestPrecompiledBreakdowns: the benchmark harness's per-model aggregate
-// decomposes cycles exactly for each model.
-func TestPrecompiledBreakdowns(t *testing.T) {
-	p, err := Precompile([]string{"wc", "grep"}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	agg, err := p.Breakdowns(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, m := range Models {
-		a, ok := agg[m.String()]
-		if !ok {
-			t.Errorf("no aggregate for %v", m)
-			continue
-		}
-		if a.Breakdown.Total() == 0 {
-			t.Errorf("%v: empty breakdown", m)
-		}
-	}
-}

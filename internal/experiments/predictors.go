@@ -75,13 +75,13 @@ func ApplyPredictor(cfg machine.Config, pred string) (machine.Config, error) {
 	return applyPredictor(cfg, pred, pred == Predictors[0]), nil
 }
 
-// simConfigs expands simsFor(target) across the predictor and window
+// simConfigs expands SimsFor(target) across the predictor and window
 // axes: the primary window's configurations first — the primary
 // predictor's under their bare names, then each additional predictor's
 // suffixed set — then the same predictor expansion per additional
 // window.  Callers must pass already-normalized lists.
 func simConfigs(target machine.Config, predictors []string, windows []int) []machine.Config {
-	base := simsFor(target)
+	base := SimsFor(target)
 	if len(predictors) > 1 || (len(predictors) == 1 && predictors[0] != "btb") {
 		out := make([]machine.Config, 0, len(base)*len(predictors))
 		for pi, pred := range predictors {
@@ -98,27 +98,6 @@ func simConfigs(target machine.Config, predictors []string, windows []int) []mac
 // order cmd/figures emits per-config stats in).
 var reportConfigNames = []string{
 	"issue1", "issue1-64k", "issue4-br1", "issue8-br1", "issue8-br2", "issue8-br1-64k",
-}
-
-// sweepConfigs expands the full machine matrix across the predictor and
-// window axes, in reporting order: every stock configuration under the
-// primary predictor's bare names, then the suffixed set per additional
-// predictor, with the whole expansion repeated per additional window.
-// This is the simulator-configuration list of the full sweep
-// (Precompiled.RunSweepArm), where every artifact is measured on every
-// machine.
-func sweepConfigs(predictors []string, windows []int) []machine.Config {
-	stock := []machine.Config{
-		machine.Issue1(), machine.Issue1Cache(), machine.Issue4Br1(),
-		machine.Issue8Br1(), machine.Issue8Br2(), machine.Issue8Br1Cache(),
-	}
-	out := make([]machine.Config, 0, len(stock)*len(predictors))
-	for pi, pred := range predictors {
-		for _, cfg := range stock {
-			out = append(out, applyPredictor(cfg, pred, pi == 0))
-		}
-	}
-	return crossWindows(out, windows)
 }
 
 // SimConfigNames returns every simulator configuration name the suite

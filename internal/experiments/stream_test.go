@@ -28,7 +28,7 @@ func TestStreamingMatchesMaterialized(t *testing.T) {
 			sims := make([]*sim.Simulator, len(cfgs))
 			fan := make(emu.FanoutSink, len(cfgs))
 			for i, sc := range cfgs {
-				sims[i] = sim.New(c.Prog, sc)
+				sims[i] = sim.NewTiming(c.Prog, sc)
 				fan[i] = sims[i]
 			}
 			run, err := emu.Run(c.Prog, emu.Options{Trace: true, Sink: fan})

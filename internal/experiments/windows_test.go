@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"strings"
 	"testing"
 
 	"predication/internal/core"
@@ -64,10 +63,6 @@ func TestWindowAxisValidation(t *testing.T) {
 	if _, err := Run(Options{Windows: []int{32, 32}}); err == nil {
 		t.Error("duplicate window accepted")
 	}
-	if _, err := Run(Options{Windows: []int{0, 32}, LegacyEmu: true}); err == nil ||
-		!strings.Contains(err.Error(), "LegacyEmu") {
-		t.Errorf("Windows + LegacyEmu: err = %v, want unsupported-combination error", err)
-	}
 	if _, err := SimConfigNames(nil, []int{0, 0}); err == nil {
 		t.Error("SimConfigNames accepted duplicate windows")
 	}
@@ -124,8 +119,9 @@ func TestApplyWindow(t *testing.T) {
 }
 
 // TestMeasureWindowCell pins the per-cell surface on an out-of-order
-// configuration: Measure and MeasureAll agree, and the observed run's
-// account verifies against the out-of-order cycle count.
+// configuration: measured alone and next to its in-order sibling it
+// agrees, and the observed run's account verifies against the
+// out-of-order cycle count.
 func TestMeasureWindowCell(t *testing.T) {
 	cfg, err := ApplyWindow(machine.Issue8Br1(), "32")
 	if err != nil {
@@ -135,15 +131,15 @@ func TestMeasureWindowCell(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	one, err := art.Measure(cfg, true)
+	one, err := art.MeasureAll([]machine.Config{cfg}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	all, err := art.MeasureAll([]machine.Config{cfg}, true)
+	both, err := art.MeasureAll([]machine.Config{machine.Issue8Br1(), cfg}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if one.Stats != all[0].Stats || *one.Account != *all[0].Account {
-		t.Errorf("gang window cell diverges from per-config:\n  all %+v\n  one %+v", all[0].Stats, one.Stats)
+	if one[0].Stats != both[1].Stats || *one[0].Account != *both[1].Account {
+		t.Errorf("window cell diverges next to an in-order lane:\n  both %+v\n  one  %+v", both[1].Stats, one[0].Stats)
 	}
 }

@@ -2,6 +2,7 @@ package hyperblock
 
 import (
 	"fmt"
+	"sort"
 
 	"predication/internal/cfg"
 	"predication/internal/ir"
@@ -438,20 +439,24 @@ func closeSelection(g *cfg.Graph, sel map[int]bool, seed int) {
 	}
 }
 
-// sideEntered returns a selected non-seed block with a predecessor outside
-// the selection, or -1.
+// sideEntered returns the lowest-numbered selected non-seed block with a
+// predecessor outside the selection, or -1.  Taking the lowest ID rather
+// than the first in map order keeps formation, and so the compiled code,
+// deterministic.
 func sideEntered(g *cfg.Graph, sel map[int]bool, seed int) int {
+	entered := -1
 	for id := range sel {
-		if id == seed {
+		if id == seed || (entered >= 0 && id > entered) {
 			continue
 		}
 		for _, p := range g.Preds[id] {
 			if !sel[p] {
-				return id
+				entered = id
+				break
 			}
 		}
 	}
-	return -1
+	return entered
 }
 
 // tailDuplicate clones the selected subgraph reachable from block `from`
@@ -480,8 +485,15 @@ func tailDuplicate(f *ir.Func, g *cfg.Graph, sel map[int]bool, seed, from, budge
 	if cost > budget {
 		return false
 	}
-	clone := map[int]int{}
+	// Clone in block-ID order so the clones' IDs, and with them the code
+	// layout, do not depend on map iteration order.
+	ids := make([]int, 0, len(dup))
 	for id := range dup {
+		ids = append(ids, id)
+	}
+	sort.Ints(ids)
+	clone := map[int]int{}
+	for _, id := range ids {
 		ob := f.Blocks[id]
 		nb := f.NewBlock()
 		nb.Name = ob.Name + ".hdup"

@@ -198,7 +198,7 @@ func (a *CycleAccount) Add(o *CycleAccount) {
 }
 
 // MarshalJSON renders the account as its breakdown plus the instruction
-// mix, the stable schema embedded in predbench reports.
+// mix, the stable schema embedded in JSON reports.
 func (a *CycleAccount) MarshalJSON() ([]byte, error) {
 	return json.Marshal(struct {
 		Breakdown Breakdown  `json:"breakdown"`

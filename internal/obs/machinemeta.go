@@ -11,8 +11,8 @@ type CacheMeta struct {
 }
 
 // MachineMeta is the self-describing machine-configuration record embedded
-// in JSON outputs (predsim -stats-json, figures -stats-json, predbench
-// reports), so committed artifacts carry the processor parameters they
+// in JSON outputs (predsim -stats-json, the serving daemon's cell
+// responses), so committed artifacts carry the processor parameters they
 // were measured on.
 type MachineMeta struct {
 	Name                 string     `json:"name"`

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -94,14 +95,18 @@ func TestSingleflightCoalesces(t *testing.T) {
 			results[i] = v
 		}(i)
 	}
-	// Let the workers pile onto the in-flight call, then release it.
+	// Release the in-flight call only once every other caller has joined
+	// it: opening the gate earlier lets a late caller find the key gone
+	// and start a second execution.
 	for {
-		mu.Lock()
-		started := executions > 0
-		mu.Unlock()
-		if started {
+		g.mu.Lock()
+		c := g.m["key"]
+		joined := c != nil && c.dups == n-1
+		g.mu.Unlock()
+		if joined {
 			break
 		}
+		runtime.Gosched()
 	}
 	close(gate)
 	wg.Wait()

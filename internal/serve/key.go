@@ -21,11 +21,14 @@ import (
 
 // optionsFingerprint canonically renders the deterministic compilation
 // knobs.  Hook fields (StageHook, Pipeline) are deliberately excluded:
-// they observe compilation without changing its output.
+// they observe compilation without changing its output.  The trailing
+// legacyemu=false renders a retired option at its only value, so keys
+// stay byte-identical to the ones already in persisted stores and in
+// response bodies.
 func optionsFingerprint(opts core.Options) string {
-	return fmt.Sprintf("machine=%#v;superblock=%#v;hyperblock=%#v;partial=%#v;unroll=%#v;nopromotion=%v;nopeephole=%v;noschedule=%v;profilesteps=%d;legacyemu=%v",
+	return fmt.Sprintf("machine=%#v;superblock=%#v;hyperblock=%#v;partial=%#v;unroll=%#v;nopromotion=%v;nopeephole=%v;noschedule=%v;profilesteps=%d;legacyemu=false",
 		opts.Machine, opts.Superblock, opts.Hyperblock, opts.Partial, opts.Unroll,
-		opts.NoPromotion, opts.NoPeephole, opts.NoSchedule, opts.ProfileSteps, opts.LegacyEmu)
+		opts.NoPromotion, opts.NoPeephole, opts.NoSchedule, opts.ProfileSteps)
 }
 
 func digest(parts string) string {

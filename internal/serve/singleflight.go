@@ -14,9 +14,10 @@ type group struct {
 }
 
 type call struct {
-	wg  sync.WaitGroup
-	val any
-	err error
+	wg   sync.WaitGroup
+	val  any
+	err  error
+	dups int // callers that joined this call (guarded by group.mu)
 }
 
 // Do executes fn once per concurrent set of callers with the same key.
@@ -29,6 +30,7 @@ func (g *group) Do(key string, fn func() (any, error)) (val any, shared bool, er
 		g.m = map[string]*call{}
 	}
 	if c, ok := g.m[key]; ok {
+		c.dups++
 		g.mu.Unlock()
 		c.wg.Wait()
 		return c.val, true, c.err

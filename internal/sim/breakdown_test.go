@@ -15,7 +15,7 @@ import (
 // simulateObserved runs the trace through an instrumented simulator and
 // returns both the stats and the cycle account.
 func simulateObserved(p *ir.Program, trace []emu.Event, cfg machine.Config) (Stats, *obs.CycleAccount) {
-	s := New(p, cfg)
+	s := NewTiming(p, cfg)
 	var a obs.CycleAccount
 	s.Instrument(&a)
 	for _, ev := range trace {
@@ -317,7 +317,7 @@ func TestUsefulIPC(t *testing.T) {
 // up to the cycle delta instead.
 func TestInstrumentMidRun(t *testing.T) {
 	prog, trace := straightline(t, 64)
-	s := New(prog, machine.Issue1())
+	s := NewTiming(prog, machine.Issue1())
 	half := len(trace) / 2
 	for _, ev := range trace[:half] {
 		s.Event(ev)

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"predication/internal/emu"
-	"predication/internal/ir"
 	"predication/internal/machine"
 	"predication/internal/obs"
 )
@@ -34,13 +33,12 @@ import (
 // with; it was enforced by the in-order issue rule, which the window
 // removes.
 //
-// The engine is shared by the standalone OoO simulator and the gang's
-// OoO lanes (gang.go): oooState.step consumes one dynamic instruction
-// with its front-end outcomes (icache, dcache, prediction) already
-// resolved, so both drivers run the identical scheduler.
+// The scheduler runs as a gang lane (gang.go): oooState.step consumes one
+// dynamic instruction with its front-end outcomes (icache, dcache,
+// prediction) already resolved by the gang's shared front end.
 
-// oooState is the scheduler core: readiness arrays (shared with the
-// owning simulator or gang lane), the sliding-window ring, the in-order
+// oooState is the scheduler core: readiness arrays (the owning gang
+// lane's stripes), the sliding-window ring, the in-order
 // rename/dispatch bandwidth counters, and the out-of-order issue-slot
 // occupancy ring.
 type oooState struct {
@@ -48,7 +46,7 @@ type oooState struct {
 	predReady []int64
 	regMiss   []int64 // non-nil only when instrumented: dcache share of readiness
 
-	// Scalar machine parameters (hoisted like Simulator's).
+	// Scalar machine parameters (hoisted like the in-order lane's).
 	predDist    int64
 	icMissPen   int64
 	dcMissPen   int64
@@ -81,7 +79,7 @@ type oooState struct {
 	// Out-of-order issue-slot occupancy per cycle.
 	ring ooRing
 
-	// Cycle-accounting state (see observe.go for the in-order scheme).
+	// Cycle-accounting state (see laneReplay for the in-order scheme).
 	fetchCause obs.Cause
 	acctPrev   int64
 }
@@ -166,7 +164,7 @@ func newOoOState(cfg machine.Config, regReady, predReady []int64) *oooState {
 }
 
 // instrument prepares the scheduler for cycle accounting (see
-// Simulator.Instrument for the acctPrev = -1 convention).
+// Gang.Instrument for the acctPrev = -1 convention).
 func (o *oooState) instrument() {
 	if o.regMiss == nil {
 		o.regMiss = make([]int64, len(o.regReady))
@@ -178,7 +176,7 @@ func (o *oooState) instrument() {
 // outcomes are already resolved by the caller.  With a non-nil account it
 // also attributes every newly covered cycle to one cause.
 //
-// The attribution scheme generalizes observe.go's: the constraint ladder
+// The attribution scheme generalizes laneReplay's: the constraint ladder
 // (redirect, icache, rename bandwidth, guard, sources, issue slots)
 // covers contiguous ascending cycle ranges ending at the issue cycle,
 // but out-of-order issue is not monotone — this instruction may issue
@@ -300,7 +298,7 @@ func (o *oooState) step(d *simInstr, nullified, taken, mispredicted, icMiss, dcM
 			if ready > t {
 				if a != nil {
 					// Split the wait between register interlock and the
-					// data-cache-miss share, as in observe.go: base is the
+					// data-cache-miss share, as in laneReplay: base is the
 					// counterfactual readiness without the producing
 					// loads' miss penalties.
 					base := t
@@ -361,7 +359,7 @@ func (o *oooState) step(d *simInstr, nullified, taken, mispredicted, icMiss, dcM
 
 	// Flush the attribution: new cycles are (acctPrev, issue]; the
 	// clamped ladder covers exactly those plus the shared floor cycle the
-	// binding constraint donates back (see observe.go).
+	// binding constraint donates back (see laneReplay).
 	if a != nil && issue > o.acctPrev {
 		want := issue - o.acctPrev
 		var got int64
@@ -447,155 +445,11 @@ func (o *oooState) step(d *simInstr, nullified, taken, mispredicted, icMiss, dcM
 	}
 }
 
-// OoO is the streaming out-of-order timing model: the standalone
-// counterpart of Simulator for machine.Config.OoO configurations.  It
-// implements emu.TraceSink / emu.BatchSink with the same front-end
-// structures (predictor, caches, statistics) as the in-order model and
-// delegates scheduling to oooState.
-type OoO struct {
-	cfg machine.Config
-	st  Stats
-
-	code []simInstr
-
-	bp     predictor
-	tbl    *btb
-	ic, dc *cache
-
-	o    oooState
-	acct *obs.CycleAccount
-}
-
-// NewOoO creates the out-of-order simulator for the given program and
-// configuration.  Like New it panics on an invalid configuration; it
-// additionally requires cfg.OoO (use NewTiming to dispatch on the flag).
-func NewOoO(p *ir.Program, cfg machine.Config) *OoO {
-	if err := cfg.Validate(); err != nil {
-		panic(err)
-	}
-	if !cfg.OoO {
-		panic("sim: NewOoO needs an out-of-order configuration (machine.Config.OoO); use New or NewTiming for in-order machines")
-	}
-	s := &OoO{cfg: cfg}
-	regBase, predBase, nRegs, nPreds := regIndex(p)
-	regReady := make([]int64, nRegs)
-	predReady := make([]int64, nPreds)
-	s.code = decodeInstrs(p, regBase, predBase, nPreds)
-	s.o = *newOoOState(cfg, regReady, predReady)
-	if cfg.Gshare {
-		s.bp = newGshare(cfg.BTBEntries * 8)
-	} else {
-		s.tbl = newBTB(cfg.BTBEntries)
-		s.bp = s.tbl
-	}
-	if !cfg.PerfectCache {
-		s.ic = newCache(cfg.ICache)
-		s.dc = newCache(cfg.DCache)
-	}
-	return s
-}
-
-// Stats returns the statistics accumulated so far.  Cycles is the
-// highest issue cycle seen plus one (issue is not monotone out of
-// order), or zero when no event has been consumed.
-func (s *OoO) Stats() Stats {
-	st := s.st
-	if st.Instrs > 0 {
-		st.Cycles = s.o.maxIssue + 1
-	}
-	return st
-}
-
-// Instrument attaches a cycle account (see Simulator.Instrument).
-func (s *OoO) Instrument(a *obs.CycleAccount) {
-	s.acct = a
-	s.o.instrument()
-}
-
-// Account returns the attached cycle account (nil when uninstrumented).
-func (s *OoO) Account() *obs.CycleAccount { return s.acct }
-
-// Event implements emu.TraceSink.
-func (s *OoO) Event(ev emu.Event) {
-	evs := [1]emu.Event{ev}
-	s.EventBatch(evs[:])
-}
-
-// EventBatch implements emu.BatchSink: it resolves each event's
-// front-end outcomes (icache, dcache, prediction — identical structures
-// and access order to the in-order Simulator) and feeds the scheduler.
-func (s *OoO) EventBatch(evs []emu.Event) {
-	a := s.acct
-	for i := range evs {
-		ev := &evs[i]
-		d := &s.code[ev.ID]
-		s.st.Instrs++
-		if a != nil {
-			a.Fetched[d.class]++
-		}
-
-		icMiss := false
-		if s.ic != nil && !s.ic.access(int64(d.addr), true) {
-			s.st.ICacheMisses++
-			icMiss = true
-		}
-		nullified := ev.Flags&emu.FlagNullified != 0
-		dcMiss := false
-		if nullified {
-			s.st.Nullified++
-			if a != nil {
-				a.Nullified[d.class]++
-			}
-		} else {
-			switch {
-			case d.flags&sfLoad != 0:
-				s.st.Loads++
-				if s.dc != nil && !s.dc.access(int64(ev.Addr)*8, true) {
-					s.st.DCacheMisses++
-					dcMiss = true
-				}
-			case d.flags&sfStore != 0:
-				s.st.Stores++
-				// Write-through, no-allocate (see Simulator).
-				if s.dc != nil && !s.dc.access(int64(ev.Addr)*8, false) {
-					s.st.DCacheMisses++
-				}
-			}
-		}
-
-		taken := ev.Flags&emu.FlagTaken != 0
-		mispredicted := false
-		if d.flags&sfBranch != 0 {
-			if !nullified {
-				s.st.Branches++
-			}
-			if d.flags&sfCond != 0 {
-				s.st.CondBranches++
-				var predicted bool
-				if s.tbl != nil {
-					predicted = s.tbl.predict(d.addr)
-					s.tbl.update(d.addr, taken)
-				} else {
-					predicted = s.bp.predict(d.addr)
-					s.bp.update(d.addr, taken)
-				}
-				if predicted != taken {
-					s.st.Mispredicts++
-					mispredicted = true
-				}
-			}
-		}
-
-		s.o.step(d, nullified, taken, mispredicted, icMiss, dcMiss, a)
-	}
-}
-
-// laneReplayOoO advances one out-of-order gang lane through a chunk: the
-// same oooState.step engine as the standalone OoO, with the cache and
-// predictor structures replaced by the pre-computed shared outcome rows
-// (gang.go phase 1).  Statistics are applied from the chunk deltas by the
-// caller — only the account's instruction-mix histograms are counted
-// here, because they belong to the lane's CycleAccount, not its Stats.
+// laneReplayOoO advances one out-of-order gang lane through a chunk,
+// feeding oooState.step the pre-computed shared outcome rows (gang.go
+// phase 1).  Statistics are applied from the chunk deltas by the caller —
+// only the account's instruction-mix histograms are counted here, because
+// they belong to the lane's CycleAccount, not its Stats.
 func laneReplayOoO(l *gangLane, code []simInstr, evs []emu.Event, icOut, dcOut, prOut []uint8) {
 	o := l.ooo
 	a := l.acct
@@ -615,24 +469,4 @@ func laneReplayOoO(l *gangLane, code []simInstr, evs []emu.Event, icOut, dcOut, 
 		mispredicted := d.flags&sfCond != 0 && (prOut[i] == outMiss) != taken
 		o.step(d, nullified, taken, mispredicted, icMiss, dcMiss, a)
 	}
-}
-
-// Timing is the surface shared by the in-order and out-of-order
-// streaming timing models: the emulator sink, the accumulated
-// statistics, and cycle-accounting instrumentation.
-type Timing interface {
-	emu.BatchSink
-	Stats() Stats
-	Instrument(*obs.CycleAccount)
-	Account() *obs.CycleAccount
-}
-
-// NewTiming creates the timing model the configuration selects: the
-// out-of-order window scheduler when cfg.OoO is set, the in-order
-// reference model otherwise.
-func NewTiming(p *ir.Program, cfg machine.Config) Timing {
-	if cfg.OoO {
-		return NewOoO(p, cfg)
-	}
-	return New(p, cfg)
 }

@@ -20,10 +20,10 @@ func ooo32(cfg machine.Config) machine.Config {
 	return cfg
 }
 
-// simulateOoO runs the standalone out-of-order simulator over a
-// materialized trace (the OoO counterpart of Simulate).
+// simulateOoO runs a one-lane out-of-order simulator over a materialized
+// trace one event at a time (the OoO counterpart of Simulate).
 func simulateOoO(p *ir.Program, trace []emu.Event, cfg machine.Config) Stats {
-	s := NewOoO(p, cfg)
+	s := NewTiming(p, cfg)
 	for _, ev := range trace {
 		s.Event(ev)
 	}
@@ -38,13 +38,10 @@ func simulateOoO(p *ir.Program, trace []emu.Event, cfg machine.Config) Stats {
 func TestEmptyTraceCycles(t *testing.T) {
 	prog, _ := straightline(t, 4)
 	cfg := machine.Issue8Br1()
-	if st := New(prog, cfg).Stats(); st.Cycles != 0 || st.Instrs != 0 {
+	if st := NewTiming(prog, cfg).Stats(); st.Cycles != 0 || st.Instrs != 0 {
 		t.Errorf("Simulator empty trace: %+v, want zero cycles and instrs", st)
 	}
-	if st := NewLegacy(prog, cfg).Stats(); st.Cycles != 0 || st.Instrs != 0 {
-		t.Errorf("LegacySimulator empty trace: %+v, want zero cycles and instrs", st)
-	}
-	if st := NewOoO(prog, ooo32(cfg)).Stats(); st.Cycles != 0 || st.Instrs != 0 {
+	if st := NewTiming(prog, ooo32(cfg)).Stats(); st.Cycles != 0 || st.Instrs != 0 {
 		t.Errorf("OoO empty trace: %+v, want zero cycles and instrs", st)
 	}
 	g := NewGang(prog, []machine.Config{cfg, ooo32(cfg)})
@@ -106,8 +103,8 @@ func TestOoOWindow1Parity(t *testing.T) {
 }
 
 // TestOoOGangParity pins the shared-engine contract: an out-of-order
-// gang lane is Stats-identical to the standalone OoO simulator fed the
-// same trace, alongside heterogeneous in-order lanes.
+// gang lane is Stats-identical to a one-lane simulator fed the same trace
+// one event at a time, alongside heterogeneous in-order lanes.
 func TestOoOGangParity(t *testing.T) {
 	kernels := bench.All()
 	if testing.Short() {
@@ -142,7 +139,7 @@ func TestOoOGangParity(t *testing.T) {
 				want = Simulate(c.Prog, res.Trace, cfg)
 			}
 			if got := g.Stats(i); got != want {
-				t.Errorf("%s @ %s: gang lane diverges from standalone:\n  lane %+v\n  ref  %+v",
+				t.Errorf("%s @ %s: gang lane diverges from one-lane simulator:\n  lane %+v\n  ref  %+v",
 					k.Name, cfg.Name, got, want)
 			}
 		}
@@ -153,7 +150,7 @@ func TestOoOGangParity(t *testing.T) {
 // the out-of-order model: across kernels and window sizes, instrumented
 // runs stay Stats-identical to uninstrumented ones, the breakdown
 // decomposes Cycles exactly (CycleAccount.Verify), gang lanes produce
-// the same account as the standalone simulator, and the two new causes
+// the same account as a one-lane simulator, and the two new causes
 // actually fire — a small window reports window_full, a narrow rename
 // stage reports rename_stall.
 func TestOoOBreakdownInvariant(t *testing.T) {
@@ -179,7 +176,7 @@ func TestOoOBreakdownInvariant(t *testing.T) {
 				cfg.OoO = true
 				cfg.WindowSize = w
 
-				s := NewOoO(c.Prog, cfg)
+				s := NewTiming(c.Prog, cfg)
 				var a obs.CycleAccount
 				s.Instrument(&a)
 				for _, ev := range res.Trace {
@@ -203,7 +200,7 @@ func TestOoOBreakdownInvariant(t *testing.T) {
 						k.Name, base.Name, w, gst, st)
 				}
 				if ga != a {
-					t.Errorf("%s @ %s/w%d: gang account diverges from standalone:\n  lane %+v\n  ref  %+v",
+					t.Errorf("%s @ %s/w%d: gang account diverges from one-lane simulator:\n  lane %+v\n  ref  %+v",
 						k.Name, base.Name, w, ga, a)
 				}
 				for c := obs.Cause(0); c < obs.NumCauses; c++ {
@@ -286,7 +283,7 @@ func TestOoORingGrowth(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := ooo32(machine.Issue8Br1())
-	s := NewOoO(prog, cfg)
+	s := NewTiming(prog, cfg)
 	var a obs.CycleAccount
 	s.Instrument(&a)
 	s.EventBatch(res.Trace)
@@ -304,9 +301,10 @@ func TestOoORingGrowth(t *testing.T) {
 	}
 }
 
-// TestOoOConstructorContracts pins the dispatch seams: New and
-// NewLegacy refuse OoO configurations, NewOoO refuses in-order ones,
-// and NewTiming picks the right model for each.
+// TestOoOConstructorContracts pins the constructor seams: NewTiming and
+// NewGang take in-order and out-of-order configurations alike and pick
+// each lane's engine from its configuration, and an out-of-order machine
+// without a window fails validation.
 func TestOoOConstructorContracts(t *testing.T) {
 	prog, _ := straightline(t, 4)
 	mustPanic := func(name string, fn func()) {
@@ -318,17 +316,19 @@ func TestOoOConstructorContracts(t *testing.T) {
 		fn()
 	}
 	oooCfg := ooo32(machine.Issue8Br1())
-	mustPanic("New on OoO config", func() { New(prog, oooCfg) })
-	mustPanic("NewLegacy on OoO config", func() { NewLegacy(prog, oooCfg) })
-	mustPanic("NewOoO on in-order config", func() { NewOoO(prog, machine.Issue8Br1()) })
 	bad := oooCfg
 	bad.WindowSize = 0
-	mustPanic("NewOoO zero window", func() { NewOoO(prog, bad) })
-	if _, ok := NewTiming(prog, oooCfg).(*OoO); !ok {
-		t.Error("NewTiming(OoO config) is not an *OoO")
+	mustPanic("NewTiming zero window", func() { NewTiming(prog, bad) })
+	mustPanic("NewGang zero window", func() { NewGang(prog, []machine.Config{machine.Issue8Br1(), bad}) })
+	g := NewGang(prog, []machine.Config{machine.Issue8Br1(), oooCfg})
+	if g.lanes[0].ooo != nil || g.lanes[1].ooo == nil {
+		t.Error("NewGang did not pick each lane's engine from its configuration")
 	}
-	if _, ok := NewTiming(prog, machine.Issue8Br1()).(*Simulator); !ok {
-		t.Error("NewTiming(in-order config) is not a *Simulator")
+	if NewTiming(prog, oooCfg).g.lanes[0].ooo == nil {
+		t.Error("NewTiming(OoO config) does not run the window scheduler")
+	}
+	if NewTiming(prog, machine.Issue8Br1()).g.lanes[0].ooo != nil {
+		t.Error("NewTiming(in-order config) runs the window scheduler")
 	}
 }
 
@@ -349,7 +349,7 @@ func TestOoOStepAllocs(t *testing.T) {
 	if len(trace) > 4096 {
 		trace = trace[:4096]
 	}
-	s := NewOoO(c.Prog, ooo32(machine.Issue8Br1()))
+	s := NewTiming(c.Prog, ooo32(machine.Issue8Br1()))
 	var a obs.CycleAccount
 	s.Instrument(&a)
 	s.EventBatch(trace) // warm up (ring growth happens here if at all)

@@ -8,6 +8,11 @@
 // instruction and data caches with 64-byte blocks and a 12-cycle miss
 // penalty.  It consumes the dynamic trace produced by the emulator
 // (emulation-driven simulation).
+//
+// There is one timing engine, the Gang (gang.go): it prices one or more
+// machine configurations in a single pass over the emulator's event
+// batches, each lane running either the in-order pipeline or the
+// out-of-order issue window (ooo.go).  Simulator is a one-lane gang.
 package sim
 
 import (
@@ -58,13 +63,6 @@ func (s Stats) MispredictRate() float64 {
 		return 0
 	}
 	return float64(s.Mispredicts) / float64(s.CondBranches)
-}
-
-// predictor is the direction-prediction interface: the paper's BTB with
-// 2-bit counters, or the gshare counterfactual.
-type predictor interface {
-	predict(pc int32) bool
-	update(pc int32, taken bool)
 }
 
 // btb is a direct-mapped branch target buffer with 2-bit saturating
@@ -169,9 +167,8 @@ func (c *cache) access(addr int64, allocate bool) bool {
 // simInstr is the pre-decoded per-static-instruction state the timing
 // model needs: source/destination readiness indices already folded with
 // the function's base offset, latency, code address, and classification
-// flags.  It is built once in New and indexed by Event.ID, replacing the
-// per-event map lookup and ir.Instr interrogation of the original
-// implementation.
+// flags.  It is built once per gang and indexed by Event.ID, so the
+// per-event path does no map lookup and no ir.Instr interrogation.
 type simInstr struct {
 	lat            int64
 	srcs           [3]int32 // global regReady indices
@@ -194,95 +191,6 @@ const (
 	sfPredDef
 	sfPredAll // PredClear / PredSet: broadcast over the function's predicates
 )
-
-// Simulator is the streaming form of the timing model: it implements
-// emu.TraceSink, consuming the dynamic instruction stream one event at a
-// time while the emulator produces it.  State is O(static program size) —
-// readiness arrays, pre-decoded instruction table, predictor, caches —
-// independent of trace length, so a run never materializes the trace.
-// Feed every event through Event, then read the totals with Stats.
-type Simulator struct {
-	cfg machine.Config
-	st  Stats
-
-	code                []simInstr // indexed by emu.Event.ID
-	regReady, predReady []int64
-
-	bp     predictor
-	tbl    *btb // non-nil when bp is the BTB: devirtualized hot path
-	ic, dc *cache
-
-	// Scalar copies of the machine parameters the per-event path reads,
-	// hoisted out of the nested config struct.
-	predDist    int64
-	icMiss      int64
-	dcMiss      int64
-	mispredict  int64
-	takenBubble int64
-	issueWidth  int
-	branchSlots int
-
-	fetchAvail int64 // earliest issue cycle allowed by the front end
-	prevIssue  int64
-	curCycle   int64
-	slots      int
-	brSlots    int
-	lastIssue  int64
-
-	// Cycle-accounting state, active only after Instrument: the account
-	// being filled, the per-register data-cache-miss share of readiness,
-	// the cause of the current fetchAvail redirect, and the last cycle
-	// already attributed.  When acct is nil (the default), EventBatch
-	// never touches any of it and the hot path is byte-identical to the
-	// uninstrumented build.
-	acct       *obs.CycleAccount
-	regMiss    []int64
-	fetchCause obs.Cause
-	acctPrev   int64
-}
-
-// New creates a simulator for the given program and processor
-// configuration.  The program must have had code addresses assigned
-// (Program.AssignAddresses) before New is called: addresses are baked
-// into the pre-decoded instruction table.  New panics if the
-// configuration fails machine.Config.Validate (non-power-of-two BTB or
-// cache geometry would silently corrupt the index masks).  Out-of-order
-// configurations have their own model: use NewOoO, or NewTiming to
-// dispatch on the flag.
-func New(p *ir.Program, cfg machine.Config) *Simulator {
-	if err := cfg.Validate(); err != nil {
-		panic(err)
-	}
-	if cfg.OoO {
-		panic("sim: New is the in-order model; use NewOoO or NewTiming for machine.Config.OoO")
-	}
-	s := &Simulator{
-		cfg:         cfg,
-		curCycle:    -1,
-		predDist:    int64(cfg.PredDist()),
-		icMiss:      int64(cfg.ICache.MissCycles),
-		dcMiss:      int64(cfg.DCache.MissCycles),
-		mispredict:  int64(cfg.MispredictPenalty),
-		takenBubble: int64(cfg.TakenBranchBubble),
-		issueWidth:  cfg.IssueWidth,
-		branchSlots: cfg.BranchSlots,
-	}
-	regBase, predBase, nRegs, nPreds := regIndex(p)
-	s.regReady = make([]int64, nRegs)
-	s.predReady = make([]int64, nPreds)
-	s.code = decodeInstrs(p, regBase, predBase, nPreds)
-	if cfg.Gshare {
-		s.bp = newGshare(cfg.BTBEntries * 8)
-	} else {
-		s.tbl = newBTB(cfg.BTBEntries)
-		s.bp = s.tbl
-	}
-	if !cfg.PerfectCache {
-		s.ic = newCache(cfg.ICache)
-		s.dc = newCache(cfg.DCache)
-	}
-	return s
-}
 
 // decodeInstrs builds the per-instruction table in layout order, so that
 // position i describes the instruction with Event.ID == i.
@@ -339,211 +247,45 @@ func decodeInstrs(p *ir.Program, regBase, predBase []int32, nPreds int32) []simI
 	return code
 }
 
-// Stats returns the statistics accumulated so far.  It may be called at
-// any point; the Cycles field reflects the issue cycle of the latest
-// event.  An empty trace took zero cycles — lastIssue is only meaningful
-// once an event has issued.
-func (s *Simulator) Stats() Stats {
-	st := s.st
-	if st.Instrs > 0 {
-		st.Cycles = s.lastIssue + 1
-	}
-	return st
+// Simulator is the single-configuration form of the timing engine: a
+// one-lane Gang.  It implements emu.TraceSink and emu.BatchSink, so it is
+// passed to the emulator as its sink and consumes the dynamic instruction
+// stream while the emulator produces it; read the totals with Stats.
+// State is O(static program size) — readiness arrays, pre-decoded
+// instruction table, predictor, caches — independent of trace length, so a
+// run never materializes the trace.
+type Simulator struct{ g *Gang }
+
+// NewTiming creates the timing model for one machine configuration: the
+// in-order pipeline, or the issue-window scheduler when cfg.OoO is set.
+// Like NewGang, it requires assigned code addresses and panics when the
+// configuration fails machine.Config.Validate.
+func NewTiming(p *ir.Program, cfg machine.Config) *Simulator {
+	return &Simulator{NewGang(p, []machine.Config{cfg})}
 }
 
-// Event advances the processor model by one dynamic instruction.  It
-// implements emu.TraceSink.  The event's ID indexes the pre-decoded
-// instruction table; nothing is looked up or allocated per event.  The
-// model logic lives in EventBatch; this wrapper feeds it a stack-backed
-// one-event batch.
-func (s *Simulator) Event(ev emu.Event) {
-	evs := [1]emu.Event{ev}
-	s.EventBatch(evs[:])
-}
+// Event implements emu.TraceSink.
+func (s *Simulator) Event(ev emu.Event) { s.g.Event(ev) }
 
-// EventBatch implements emu.BatchSink: the fast interpreter hands over
-// its buffered event runs here, replacing one interface dispatch per
-// event with one per batch.  The pipeline scalars (fetch availability,
-// issue cycle, slot counts) and statistics are copied into locals for
-// the duration of the batch so the per-event updates stay in registers
-// instead of bouncing through the struct.
-//
-// With a cycle account attached (Instrument), the batch detours to the
-// attributing twin in observe.go; the only cost to the uninstrumented
-// path is this one predictable branch per batch.
-func (s *Simulator) EventBatch(evs []emu.Event) {
-	if s.acct != nil {
-		s.observedBatch(evs)
-		return
-	}
-	st := s.st
-	fetchAvail, prevIssue := s.fetchAvail, s.prevIssue
-	curCycle, lastIssue := s.curCycle, s.lastIssue
-	slots, brSlots := s.slots, s.brSlots
-	code := s.code
-	regReady, predReady := s.regReady, s.predReady
-	ic, dc, tbl := s.ic, s.dc, s.tbl
-	icMiss, dcMiss, predDist := s.icMiss, s.dcMiss, s.predDist
-	mispredict, takenBubble := s.mispredict, s.takenBubble
-	issueWidth, branchSlots := s.issueWidth, s.branchSlots
+// EventBatch implements emu.BatchSink.
+func (s *Simulator) EventBatch(evs []emu.Event) { s.g.EventBatch(evs) }
 
-	for i := range evs {
-		ev := &evs[i]
-		d := &code[ev.ID]
-		st.Instrs++
+// Stats returns the statistics accumulated so far (see Gang.Stats).
+func (s *Simulator) Stats() Stats { return s.g.Stats(0) }
 
-		// Front end: instruction cache.
-		t := fetchAvail
-		if t < prevIssue {
-			t = prevIssue
-		}
-		if ic != nil && !ic.access(int64(d.addr), true) {
-			st.ICacheMisses++
-			t += icMiss
-			fetchAvail = t
-		}
+// Instrument attaches a cycle account (see Gang.Instrument).
+func (s *Simulator) Instrument(a *obs.CycleAccount) { s.g.Instrument(0, a) }
 
-		// Operand readiness.
-		if d.guard >= 0 {
-			if r := predReady[d.guard]; r > t {
-				t = r
-			}
-		}
-		nullified := ev.Flags&emu.FlagNullified != 0
-		var loadLat int64
-		if nullified {
-			st.Nullified++
-		} else {
-			// Unrolled over the (at most 3) sources: a counted slice range
-			// here costs a slice-header construction per event.
-			if d.nsrc > 0 {
-				if r := regReady[d.srcs[0]]; r > t {
-					t = r
-				}
-				if d.nsrc > 1 {
-					if r := regReady[d.srcs[1]]; r > t {
-						t = r
-					}
-					if d.nsrc > 2 {
-						if r := regReady[d.srcs[2]]; r > t {
-							t = r
-						}
-					}
-				}
-			}
-			switch {
-			case d.flags&sfLoad != 0:
-				st.Loads++
-				loadLat = d.lat
-				if dc != nil && !dc.access(int64(ev.Addr)*8, true) {
-					st.DCacheMisses++
-					loadLat += dcMiss
-				}
-			case d.flags&sfStore != 0:
-				st.Stores++
-				// Write-through, no-allocate: a store miss does not stall
-				// (write buffer assumed) and does not allocate the block.
-				if dc != nil && !dc.access(int64(ev.Addr)*8, false) {
-					st.DCacheMisses++
-				}
-			}
-		}
-
-		// Issue slot allocation (in-order: never before the previous
-		// instruction's issue cycle).  A guard-suppressed branch is
-		// squashed at decode and does not occupy the branch unit.
-		isBranch := d.flags&sfBranch != 0 && !nullified
-		for {
-			if t > curCycle {
-				curCycle = t
-				slots, brSlots = 0, 0
-			}
-			if slots < issueWidth && (!isBranch || brSlots < branchSlots) {
-				break
-			}
-			t = curCycle + 1
-		}
-		slots++
-		if isBranch {
-			brSlots++
-		}
-		issue := t
-		prevIssue = issue
-		lastIssue = issue
-
-		// Destination updates.
-		if !nullified {
-			if d.dst >= 0 {
-				lat := d.lat
-				if d.flags&sfLoad != 0 {
-					lat = loadLat
-				}
-				regReady[d.dst] = issue + lat
-			}
-			if d.flags&sfPredDef != 0 {
-				if d.npd > 0 {
-					predReady[d.pd[0]] = issue + predDist
-					if d.npd > 1 {
-						predReady[d.pd[1]] = issue + predDist
-					}
-				}
-			} else if d.flags&sfPredAll != 0 {
-				for p := d.predLo; p < d.predHi; p++ {
-					predReady[p] = issue + predDist
-				}
-			}
-		}
-
-		// Branch resolution and prediction.  A branch is dynamically
-		// conditional if it is a compare-and-branch or a guarded jump (the
-		// combined exits produced by branch combining); such branches are
-		// predicted by the BTB even when their guard nullifies them — the
-		// front end predicts at fetch, before decode-stage suppression.
-		if d.flags&sfBranch != 0 {
-			if !nullified {
-				st.Branches++
-			}
-			taken := ev.Flags&emu.FlagTaken != 0
-			if d.flags&sfCond != 0 {
-				st.CondBranches++
-				var predicted bool
-				if tbl != nil {
-					predicted = tbl.predict(d.addr)
-					tbl.update(d.addr, taken)
-				} else {
-					predicted = s.bp.predict(d.addr)
-					s.bp.update(d.addr, taken)
-				}
-				if predicted != taken {
-					st.Mispredicts++
-					fetchAvail = issue + 1 + mispredict
-				} else if taken {
-					fetchAvail = issue + takenBubble
-				}
-			} else if taken && !nullified {
-				// Unguarded Jump, JSR, Ret: static or stack-predicted
-				// targets are assumed correctly predicted; only the
-				// configured taken redirect bubble applies.
-				fetchAvail = issue + takenBubble
-			}
-		}
-	}
-
-	s.st = st
-	s.fetchAvail, s.prevIssue = fetchAvail, prevIssue
-	s.curCycle, s.lastIssue = curCycle, lastIssue
-	s.slots, s.brSlots = slots, brSlots
-}
+// Account returns the attached cycle account (nil when uninstrumented).
+func (s *Simulator) Account() *obs.CycleAccount { return s.g.Account(0) }
 
 // Simulate runs a materialized trace through the configured processor
-// model and returns timing statistics.  It is the slice-backed wrapper
-// around Simulator for callers that already hold a []emu.Event; streaming
-// callers pass a Simulator directly to the emulator as its TraceSink.
+// model and returns timing statistics.  It is the slice-backed wrapper for
+// callers that already hold a []emu.Event; streaming callers pass a
+// Simulator (or a Gang) to the emulator as its sink.
 func Simulate(p *ir.Program, trace []emu.Event, cfg machine.Config) Stats {
-	s := New(p, cfg)
-	for _, ev := range trace {
-		s.Event(ev)
-	}
+	s := NewTiming(p, cfg)
+	s.EventBatch(trace)
 	return s.Stats()
 }
 

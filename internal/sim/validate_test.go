@@ -31,7 +31,7 @@ func panicMessage(r any) string {
 	return ""
 }
 
-// TestNewRejectsInvalidGeometry: both simulator constructors surface
+// TestNewRejectsInvalidGeometry: both constructors surface
 // machine.Config.Validate failures as panics (the cmd wrappers convert
 // panics to one-line errors), instead of silently aliasing masked indexes.
 func TestNewRejectsInvalidGeometry(t *testing.T) {
@@ -43,11 +43,11 @@ func TestNewRejectsInvalidGeometry(t *testing.T) {
 
 	bad := machine.Issue8Br1()
 	bad.BTBEntries = 1000
-	mustPanic(t, "BTBEntries", func() { New(prog, bad) })
-	mustPanic(t, "BTBEntries", func() { NewLegacy(prog, bad) })
+	mustPanic(t, "BTBEntries", func() { NewTiming(prog, bad) })
+	mustPanic(t, "BTBEntries", func() { NewGang(prog, []machine.Config{machine.Issue1(), bad}) })
 
 	badCache := machine.Issue8Br1Cache()
 	badCache.ICache.BlockSize = 48
-	mustPanic(t, "BlockSize", func() { New(prog, badCache) })
-	mustPanic(t, "BlockSize", func() { NewLegacy(prog, badCache) })
+	mustPanic(t, "BlockSize", func() { NewTiming(prog, badCache) })
+	mustPanic(t, "BlockSize", func() { NewGang(prog, []machine.Config{machine.Issue1(), badCache}) })
 }

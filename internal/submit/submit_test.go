@@ -163,10 +163,11 @@ func TestArtifactMeasure(t *testing.T) {
 		if art.MaxSteps != DefaultLimits().MaxSteps {
 			t.Errorf("%v: artifact quota %d, want %d", m, art.MaxSteps, DefaultLimits().MaxSteps)
 		}
-		meas, err := art.Measure(machine.Issue8Br1(), true)
+		ms, err := art.MeasureAll([]machine.Config{machine.Issue8Br1()}, true)
 		if err != nil {
 			t.Fatalf("%v: measure: %v", m, err)
 		}
+		meas := ms[0]
 		if meas.Stats.Cycles <= 0 {
 			t.Errorf("%v: empty stats", m)
 		}
@@ -194,12 +195,12 @@ func TestSmallMemoryChecksum(t *testing.T) {
 	if rej != nil {
 		t.Fatal(rej)
 	}
-	meas, err := art.Measure(machine.Issue8Br1(), false)
+	ms, err := art.MeasureAll([]machine.Config{machine.Issue8Br1()}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if meas.Checksum != 0 {
-		t.Errorf("checksum %d, want 0 for out-of-image checksum word", meas.Checksum)
+	if ms[0].Checksum != 0 {
+		t.Errorf("checksum %d, want 0 for out-of-image checksum word", ms[0].Checksum)
 	}
 }
 

@@ -105,7 +105,7 @@ func Simulate(p *ir.Program, trace []emu.Event, cfg Config) sim.Stats {
 // configuration.  It implements TraceSink: pass it to RunInto, then read
 // its Stats.
 func NewSimulator(p *ir.Program, cfg Config) *sim.Simulator {
-	return sim.New(p, cfg)
+	return sim.NewTiming(p, cfg)
 }
 
 // Benchmarks returns the fifteen benchmark kernels standing in for the
