@@ -19,8 +19,7 @@ import (
 //   - every control edge — instruction fall-through, block fall-through
 //     (including chains of empty blocks), branch target, function entry,
 //     and JSR return point — becomes a pre-resolved uop index plus the
-//     profile counters the legacy interpreter would have bumped while
-//     walking the block graph.
+//     profile counters a walk of the block graph bumps on the way.
 //
 // The uop struct itself is kept under one cache line so the steady-state
 // loop stays memory-light; everything the loop needs only
@@ -44,8 +43,8 @@ const (
 )
 
 // edge is a fully resolved control transfer.  chain and exits carry the
-// dense block indices whose BlockCount and FallExit profile counters the
-// legacy interpreter increments while walking the same path.  Edges are
+// dense block indices whose BlockCount and FallExit profile counters a
+// walk of the same path increments.  Edges are
 // consulted only when profiling or when the transfer errors; the
 // no-profile success case reads the pre-resolved pc straight from the
 // uop.
@@ -148,11 +147,10 @@ type decoder struct {
 }
 
 // Decode lowers p into a flat code array.  It fails on structural problems
-// the legacy interpreter could only hit (or hang on) at run time: a missing
+// a block-graph walk could only hit (or hang on) at run time: a missing
 // entry function, a JSR to an undefined function, or a cycle of empty
 // blocks.  Transfers to dead blocks and fall-through off the end of a
-// block stay run-time errors, exactly as in the legacy interpreter,
-// because they only matter if executed.
+// block stay run-time errors, because they only matter if executed.
 func Decode(p *ir.Program) (*Code, error) {
 	if p.Entry < 0 || p.Entry >= len(p.Funcs) {
 		return nil, fmt.Errorf("emu: decode: entry function F%d out of range", p.Entry)
@@ -292,19 +290,18 @@ func (c *Code) addEdge(e edge) int32 {
 }
 
 // transferEdge resolves a control transfer to block `target`, walking
-// through any chain of empty blocks exactly as the legacy interpreter's
-// main loop would: each block entered is appended to chain (BlockCount),
-// each empty block fallen out of is appended to exits (FallExit), and the
-// walk ends at the first block with instructions or at the same dead /
-// fell-off-end error the legacy path reports.
+// through any chain of empty blocks: each block entered is appended to
+// chain (BlockCount), each empty block fallen out of is appended to exits
+// (FallExit), and the walk ends at the first block with instructions or
+// at the dead / fell-off-end error execution would report.
 func (d *decoder) transferEdge(fi int, target int) edge {
 	f := d.p.Funcs[fi]
 	e := edge{pc: -1, fn: int32(fi)}
 	cur := target
 	for hops := 0; ; hops++ {
 		if hops > len(f.Blocks) {
-			// The legacy interpreter would spin forever here (empty blocks
-			// execute no instructions, so the step limit never fires).
+			// Execution would spin forever here (empty blocks execute no
+			// instructions, so the step limit never fires).
 			d.err = fmt.Errorf("emu: decode: empty-block fall-through cycle from B%d in %s", target, f.Name)
 			e.kind = edgeDead
 			e.errBlk = int32(cur)
@@ -349,8 +346,7 @@ func (d *decoder) blockEndEdge(fi int, b *ir.Block) edge {
 	return e
 }
 
-// edgeErr formats the run-time error for a dead or fell-off edge, matching
-// the legacy interpreter's messages byte for byte.
+// edgeErr formats the run-time error for a dead or fell-off edge.
 func (c *Code) edgeErr(e *edge) error {
 	name := c.prog.Funcs[e.fn].Name
 	if e.kind == edgeDead {
