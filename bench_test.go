@@ -289,13 +289,29 @@ func BenchmarkAblationExceptingConversion(b *testing.B) {
 
 // --- Component micro-benchmarks ---
 
+// BenchmarkCompileFullPred times whole compiles of a small function (wc,
+// ~20 blocks) and of the suite's largest (eqn, ~4,000 blocks), where any
+// step superlinear in function size dominates, under the baseline and
+// both predicated pipelines.
 func BenchmarkCompileFullPred(b *testing.B) {
-	k, _ := bench.ByName("wc")
 	mc := machine.Issue8Br1()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.Compile(k.Build(), core.FullPred, core.DefaultOptions(mc)); err != nil {
+	for _, name := range []string{"wc", "eqn"} {
+		k, err := bench.ByName(name)
+		if err != nil {
 			b.Fatal(err)
+		}
+		for _, model := range []struct {
+			name  string
+			model core.Model
+		}{{"superblock", core.Superblock}, {"cmov", core.CondMove}, {"full", core.FullPred}} {
+			b.Run(name+"/"+model.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := core.Compile(k.Build(), model.model, core.DefaultOptions(mc)); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
 		}
 	}
 }

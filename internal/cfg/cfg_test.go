@@ -45,16 +45,16 @@ func TestGraphStructure(t *testing.T) {
 			t.Errorf("B%d unreachable", id)
 		}
 	}
-	if g.RPO[0] != entry {
-		t.Errorf("RPO must start at entry: %v", g.RPO)
+	if g.RPO()[0] != entry {
+		t.Errorf("RPO must start at entry: %v", g.RPO())
 	}
 	// then and els precede join in RPO.
 	pos := map[int]int{}
-	for i, id := range g.RPO {
+	for i, id := range g.RPO() {
 		pos[id] = i
 	}
 	if pos[then] > pos[join] || pos[els] > pos[join] {
-		t.Errorf("RPO order wrong: %v", g.RPO)
+		t.Errorf("RPO order wrong: %v", g.RPO())
 	}
 }
 
@@ -113,11 +113,11 @@ func TestLivenessBasics(t *testing.T) {
 	g := NewGraph(f)
 	lv := ComputeLiveness(g)
 	// r (register 1) is read by the entry branch: live-in at entry.
-	if !lv.RegIn[ids[0]].Has(1) {
+	if !lv.RegLiveIn(ids[0], 1) {
 		t.Error("r must be live-in at entry")
 	}
 	// After the halt nothing is live.
-	if lv.RegOut[ids[4]].Has(1) {
+	if lv.RegLiveOut(ids[4], 1) {
 		t.Error("nothing is live out of the exit block")
 	}
 }
@@ -139,13 +139,13 @@ func TestLivenessGuardedDefsDoNotKill(t *testing.T) {
 	next.Append(&ir.Instr{Op: ir.Halt})
 	g := NewGraph(f)
 	lv := ComputeLiveness(g)
-	if !lv.RegIn[entry.ID].Has(int32(r)) {
+	if !lv.RegLiveIn(entry.ID, r) {
 		t.Error("guarded def must not kill: r live-in at entry")
 	}
 	// An unguarded def does kill.
 	guarded.Guard = ir.PNone
 	lv = ComputeLiveness(NewGraph(f))
-	if lv.RegIn[entry.ID].Has(int32(r)) {
+	if lv.RegLiveIn(entry.ID, r) {
 		t.Error("unguarded def kills: r not live-in")
 	}
 }
@@ -167,7 +167,7 @@ func TestLivenessMidBlockBranch(t *testing.T) {
 	tail.Append(&ir.Instr{Op: ir.Halt})
 	g := NewGraph(f)
 	lv := ComputeLiveness(g)
-	if !lv.RegIn[entry.ID].Has(int32(r)) {
+	if !lv.RegLiveIn(entry.ID, r) {
 		t.Error("r is live into the entry block through the mid-block branch")
 	}
 }

@@ -3,17 +3,34 @@
 // liveness, and the dynamic edge profile collected by the emulator.
 package cfg
 
-import "predication/internal/ir"
+import (
+	"slices"
 
-// Graph is the control-flow graph of one function, computed on demand from
-// the block structure.  Recompute it (Rebuild, or a fresh NewGraph) after
-// any pass that adds or removes edges.
+	"predication/internal/ir"
+)
+
+// Graph is the control-flow graph of one function.  NewGraph and Rebuild
+// compute it from the whole block structure; after a transformation that
+// rewrites only a few blocks, Patch brings it up to date by touching only
+// those blocks and their neighbours, so a pass that transforms a function
+// region by region does work proportional to the regions, not to the
+// function times the number of regions.
 type Graph struct {
 	F     *ir.Func
 	Succs [][]int // block ID -> successor block IDs
-	Preds [][]int // block ID -> predecessor block IDs
-	RPO   []int   // reverse postorder over reachable live blocks
-	rpoIx []int   // block ID -> position in RPO (-1 if unreachable)
+	Preds [][]int // block ID -> predecessor block IDs, ascending
+
+	// rank certifies reachability: -1 for unreachable blocks, and every
+	// reachable block other than the entry has a predecessor of lower
+	// rank.  A full walk ranks blocks by reverse-postorder position;
+	// Patch ranks blocks it makes reachable after every existing rank.
+	rank []int
+	next int   // next fresh rank
+	rpo  []int // reverse postorder over reachable blocks, as of the last walk
+	// stale marks rpo (and possibly rank) as predating a Patch; the
+	// methods that read them walk the graph again first.  unsure marks a
+	// Patch that could not certify some block's reachability locally.
+	stale, unsure bool
 
 	// Scratch storage retained across Rebuild: formation passes rebuild the
 	// graph after every structural change, so steady-state rebuilds must not
@@ -24,6 +41,7 @@ type Graph struct {
 	visited []bool
 	post    []int
 	stack   []dfsFrame
+	work    []int
 }
 
 type dfsFrame struct{ id, next int }
@@ -105,9 +123,16 @@ func (g *Graph) build() {
 			g.Preds[s] = append(g.Preds[s], id)
 		}
 	}
+	g.walk()
+}
 
-	// Depth-first postorder from the entry, reversed.  The explicit stack
-	// visits successors in list order, exactly like the recursive walk.
+// walk recomputes the reverse postorder and the reachability ranks from
+// the successor lists: a depth-first postorder from the entry, reversed.
+// The explicit stack visits successors in list order, exactly like the
+// recursive walk.
+func (g *Graph) walk() {
+	f := g.F
+	n := len(g.Succs)
 	g.visited = grow(g.visited, n)
 	post := g.post[:0]
 	if cap(post) < n {
@@ -132,30 +157,165 @@ func (g *Graph) build() {
 	}
 	g.post = post
 	g.stack = stack[:0]
-	g.RPO = g.RPO[:0]
-	if cap(g.RPO) < len(post) {
-		g.RPO = make([]int, 0, len(post)+len(post)/2+16)
+	g.rpo = g.rpo[:0]
+	if cap(g.rpo) < len(post) {
+		g.rpo = make([]int, 0, len(post)+len(post)/2+16)
 	}
 	for i := len(post) - 1; i >= 0; i-- {
-		g.RPO = append(g.RPO, post[i])
+		g.rpo = append(g.rpo, post[i])
 	}
-	g.rpoIx = grow(g.rpoIx, n)
-	for i := range g.rpoIx {
-		g.rpoIx[i] = -1
+	g.rank = grow(g.rank, n)
+	for i := range g.rank {
+		g.rank[i] = -1
 	}
-	for i, id := range g.RPO {
-		g.rpoIx[id] = i
+	for i, id := range g.rpo {
+		g.rank[id] = i
+	}
+	g.next = len(g.rpo)
+	g.stale, g.unsure = false, false
+}
+
+// fresh redoes the walk if a Patch has made the reverse postorder stale.
+func (g *Graph) fresh() {
+	if g.stale {
+		g.walk()
 	}
 }
 
+// RPO returns the reverse postorder over the reachable blocks.
+func (g *Graph) RPO() []int {
+	g.fresh()
+	return g.rpo
+}
+
 // Reachable reports whether the block is reachable from the entry.
-func (g *Graph) Reachable(id int) bool { return g.rpoIx[id] >= 0 }
+func (g *Graph) Reachable(id int) bool {
+	if g.unsure {
+		g.walk()
+	}
+	return g.rank[id] >= 0
+}
+
+// Patch updates the graph after the listed blocks changed: their
+// instructions, fallthrough or Dead flag were rewritten, or f.NewBlock
+// created them.  Only those blocks' successor lists are recomputed, and
+// only the predecessor lists of blocks gaining or losing an edge from them
+// change, so the cost is proportional to the patched blocks.  Afterwards
+// Succs, Preds (order included) and Reachable answer exactly as a fresh
+// NewGraph would.  Blocks whose edges changed must all be listed.
+//
+// Reachability is kept by rank (see Graph): a block reached through a new
+// edge is ranked after every existing block, and a block that lost an
+// edge stays certified if a predecessor of lower rank remains.  Only when
+// neither settles a block (a cycle may have lost its last entry) does the
+// next Reachable query walk the graph again.
+func (g *Graph) Patch(ids ...int) {
+	f := g.F
+	for len(g.Succs) < len(f.Blocks) {
+		g.Succs = append(g.Succs, nil)
+		g.Preds = append(g.Preds, nil)
+		g.rank = append(g.rank, -1)
+	}
+	g.stale = true
+	// work holds gained edges as (from, to) pairs, then the blocks that
+	// lost an in-edge.
+	gained := g.work[:0]
+	var lost []int
+	for _, id := range ids {
+		b := f.Blocks[id]
+		start := len(g.sbuf)
+		if b != nil && !b.Dead {
+			g.sbuf = b.Succs(g.sbuf)
+		}
+		succs := g.sbuf[start:len(g.sbuf):len(g.sbuf)]
+		old := g.Succs[id]
+		for _, s := range old {
+			if !slices.Contains(succs, s) {
+				g.Preds[s] = removeID(g.Preds[s], id)
+				lost = append(lost, s)
+			}
+		}
+		for _, s := range succs {
+			if !slices.Contains(old, s) {
+				g.Preds[s] = insertID(g.Preds[s], id)
+				gained = append(gained, id, s)
+			}
+		}
+		g.Succs[id] = succs
+	}
+	for i := 0; i < len(gained); i += 2 {
+		if g.rank[gained[i]] >= 0 && g.rank[gained[i+1]] < 0 {
+			g.reach(gained[i+1])
+		}
+	}
+	// Settle the blocks that lost an edge: certified by a lower-ranked
+	// predecessor, or unreachable when no predecessor is reachable (which
+	// unsettles their successors in turn).
+	for len(lost) > 0 && !g.unsure {
+		s := lost[len(lost)-1]
+		lost = lost[:len(lost)-1]
+		if s == f.Entry || g.rank[s] < 0 {
+			continue
+		}
+		certified, reached := false, false
+		for _, p := range g.Preds[s] {
+			if g.rank[p] >= 0 {
+				reached = true
+				certified = certified || g.rank[p] < g.rank[s]
+			}
+		}
+		switch {
+		case certified:
+		case reached:
+			g.unsure = true
+		default:
+			g.rank[s] = -1
+			lost = append(lost, g.Succs[s]...)
+		}
+	}
+	g.work = gained[:0]
+}
+
+// reach ranks s and every unranked block reachable from it.
+func (g *Graph) reach(s int) {
+	stack := []int{s}
+	g.rank[s] = g.next
+	g.next++
+	for len(stack) > 0 {
+		x := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, t := range g.Succs[x] {
+			if g.rank[t] < 0 {
+				g.rank[t] = g.next
+				g.next++
+				stack = append(stack, t)
+			}
+		}
+	}
+}
+
+// removeID deletes id from the ascending list s in place.
+func removeID(s []int, id int) []int {
+	if i, ok := slices.BinarySearch(s, id); ok {
+		return slices.Delete(s, i, i+1)
+	}
+	return s
+}
+
+// insertID adds id to the ascending list s, keeping it sorted.  A list
+// carved out of the shared backing array is full, so the first insertion
+// moves it to its own array.
+func insertID(s []int, id int) []int {
+	i, _ := slices.BinarySearch(s, id)
+	return slices.Insert(s, i, id)
+}
 
 // Dominators computes the immediate-dominator array using the
 // Cooper/Harvey/Kennedy iterative algorithm.  idom[entry] == entry;
 // unreachable blocks have idom -1.
 func (g *Graph) Dominators() []int {
-	n := len(g.F.Blocks)
+	g.fresh()
+	n := len(g.Succs)
 	idom := make([]int, n)
 	for i := range idom {
 		idom[i] = -1
@@ -163,10 +323,10 @@ func (g *Graph) Dominators() []int {
 	idom[g.F.Entry] = g.F.Entry
 	intersect := func(a, b int) int {
 		for a != b {
-			for g.rpoIx[a] > g.rpoIx[b] {
+			for g.rank[a] > g.rank[b] {
 				a = idom[a]
 			}
-			for g.rpoIx[b] > g.rpoIx[a] {
+			for g.rank[b] > g.rank[a] {
 				b = idom[b]
 			}
 		}
@@ -174,7 +334,7 @@ func (g *Graph) Dominators() []int {
 	}
 	for changed := true; changed; {
 		changed = false
-		for _, id := range g.RPO {
+		for _, id := range g.rpo {
 			if id == g.F.Entry {
 				continue
 			}
@@ -226,7 +386,7 @@ type Loop struct {
 func (g *Graph) NaturalLoops() []*Loop {
 	idom := g.Dominators()
 	byHeader := map[int]*Loop{}
-	for _, b := range g.RPO {
+	for _, b := range g.rpo {
 		for _, s := range g.Succs[b] {
 			if !Dominates(idom, s, b) {
 				continue

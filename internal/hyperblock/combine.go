@@ -166,7 +166,7 @@ func spanSafe(lv *cfg.Liveness, h *ir.Block, first, last int, cands []exitCand) 
 				if (c.in.A.IsReg() && c.in.A.R == d) || (c.in.B.IsReg() && c.in.B.R == d) {
 					return nil, false
 				}
-				if lv.RegIn[c.in.Target].Has(int32(d)) {
+				if lv.RegLiveIn(c.in.Target, d) {
 					return nil, false
 				}
 			}

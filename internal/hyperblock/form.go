@@ -2,6 +2,7 @@ package hyperblock
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"predication/internal/cfg"
@@ -37,28 +38,31 @@ func Form(p *ir.Program, prof *cfg.Profile, params Params) (*Result, error) {
 // region is a candidate single-entry acyclic region for if-conversion.
 type region struct {
 	seed   int
-	blocks map[int]bool // includes seed; loop bodies exclude backedge edges
-	isLoop bool
+	blocks []int // includes seed; loop bodies exclude backedge edges
 	weight int64
 }
 
 func formFunc(f *ir.Func, prof *cfg.Profile, params Params) ([]int, error) {
 	var heads []int
 	tried := map[int]bool{}
+	// One graph serves the whole formation: tail duplication and
+	// if-conversion patch the blocks they rewrite, and the graph is rebuilt
+	// only at the start of each round, where the region analyses need a
+	// fresh reverse postorder anyway.
 	g := cfg.NewGraph(f)
+	var sc scratch
 	for round := 0; round < 8; round++ {
 		if round > 0 {
 			g.Rebuild()
 		}
-		regions := findRegions(f, g, prof, params, tried)
+		regions := findRegions(f, g, prof, params, tried, &sc)
 		formed := 0
-		touched := map[int]bool{}
-		dirty := false
+		touched := make([]bool, len(f.Blocks))
 		for _, r := range regions {
 			// Regions overlapping blocks already transformed this round
 			// are retried next round against fresh analyses.
 			overlap := false
-			for id := range r.blocks {
+			for _, id := range r.blocks {
 				if touched[id] {
 					overlap = true
 					break
@@ -68,23 +72,14 @@ func formFunc(f *ir.Func, prof *cfg.Profile, params Params) ([]int, error) {
 				continue
 			}
 			tried[r.seed] = true
-			// tryForm needs a graph that reflects the current block
-			// structure; rebuild only when an earlier region changed it.
-			if dirty {
-				g.Rebuild()
-				dirty = false
-			}
-			ok, mutated, err := tryForm(f, g, prof, params, r)
+			ok, err := tryForm(f, g, prof, params, r, &sc)
 			if err != nil {
 				return nil, err
-			}
-			if mutated {
-				dirty = true
 			}
 			if ok {
 				heads = append(heads, r.seed)
 				formed++
-				for id := range r.blocks {
+				for _, id := range r.blocks {
 					touched[id] = true
 				}
 			}
@@ -96,18 +91,35 @@ func formFunc(f *ir.Func, prof *cfg.Profile, params Params) ([]int, error) {
 	return heads, nil
 }
 
+// scratch holds dense per-block arrays that region enumeration and
+// topological ordering reuse from candidate to candidate: a function with
+// thousands of blocks yields thousands of candidates, and a map per
+// candidate dominated formation's cost.
+type scratch struct {
+	member []int32 // block -> stamp of the region it was last added to
+	stamp  int32
+	state  []uint8 // topoOrder's visit state, all zero between calls
+	order  []int   // topoOrder's output buffer for findRegions
+}
+
+// newRegion starts an empty membership set sized for f.
+func (sc *scratch) newRegion(f *ir.Func) {
+	if n := len(f.Blocks); len(sc.member) < n {
+		sc.member = append(sc.member, make([]int32, n-len(sc.member))...)
+		sc.state = append(sc.state, make([]uint8, n-len(sc.state))...)
+	}
+	sc.stamp++
+}
+
+func (sc *scratch) add(id int)      { sc.member[id] = sc.stamp }
+func (sc *scratch) has(id int) bool { return id < len(sc.member) && sc.member[id] == sc.stamp }
+
 // findRegions enumerates candidate regions in decreasing weight order:
 // innermost loop bodies first, then the acyclic non-loop portion rooted at
 // the function entry.
-func findRegions(f *ir.Func, g *cfg.Graph, prof *cfg.Profile, params Params, tried map[int]bool) []*region {
+func findRegions(f *ir.Func, g *cfg.Graph, prof *cfg.Profile, params Params, tried map[int]bool, sc *scratch) []*region {
 	var regions []*region
 	loops := g.NaturalLoops()
-	inLoop := map[int]bool{}
-	for _, l := range loops {
-		for id := range l.Blocks {
-			inLoop[id] = true
-		}
-	}
 	for _, l := range loops {
 		if tried[l.Header] {
 			continue
@@ -118,30 +130,33 @@ func findRegions(f *ir.Func, g *cfg.Graph, prof *cfg.Profile, params Params, tri
 		}
 		// Innermost only: the body (minus edges into the header) must be
 		// acyclic; topoOrder reports failure for nested loops.
-		blocks := map[int]bool{}
+		sc.newRegion(f)
+		blocks := make([]int, 0, len(l.Blocks))
 		for id := range l.Blocks {
-			blocks[id] = true
+			blocks = append(blocks, id)
+			sc.add(id)
 		}
-		if _, ok := topoOrder(f, g, blocks, l.Header); !ok {
-			continue
+		order, ok := topoOrder(g, sc.has, l.Header, sc.state, sc.order[:0])
+		sc.order = order
+		if ok {
+			regions = append(regions, &region{seed: l.Header, blocks: blocks, weight: w})
 		}
-		regions = append(regions, &region{seed: l.Header, blocks: blocks, isLoop: true, weight: w})
 	}
 	// Acyclic regions: for every sufficiently hot block that is not a loop
 	// header, the set of blocks it dominates within the same innermost
 	// loop context forms a single-entry acyclic candidate region (diamonds
 	// and hammocks nested inside larger loops, or whole straight-line
 	// functions rooted at the entry).
-	innermost := map[int]int{} // block -> smallest containing loop header (-1 if none)
-	for _, b := range f.LiveBlocks(nil) {
-		innermost[b.ID] = -1
+	innermost := make([]int, len(f.Blocks)) // block -> smallest containing loop header (-1 if none)
+	for i := range innermost {
+		innermost[i] = -1
 	}
 	for i := len(loops) - 1; i >= 0; i-- { // larger loops first; inner overwrite
 		for id := range loops[i].Blocks {
 			innermost[id] = loops[i].Header
 		}
 	}
-	headers := map[int]bool{}
+	headers := make([]bool, len(f.Blocks))
 	for _, l := range loops {
 		headers[l.Header] = true
 	}
@@ -154,6 +169,7 @@ func findRegions(f *ir.Func, g *cfg.Graph, prof *cfg.Profile, params Params, tri
 			children[d] = append(children[d], id)
 		}
 	}
+	var stack []int
 	for _, b := range f.LiveBlocks(nil) {
 		seed := b.ID
 		if tried[seed] || headers[seed] || !g.Reachable(seed) {
@@ -163,65 +179,68 @@ func findRegions(f *ir.Func, g *cfg.Graph, prof *cfg.Profile, params Params, tri
 		if w < params.MinCount {
 			continue
 		}
-		blocks := map[int]bool{seed: true}
-		stack := append([]int(nil), children[seed]...)
+		sc.newRegion(f)
+		sc.add(seed)
+		blocks := []int{seed}
+		stack = append(stack[:0], children[seed]...)
 		for len(stack) > 0 {
 			x := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 			if innermost[x] != innermost[seed] {
 				continue // different loop context; skip whole subtree anyway
 			}
-			blocks[x] = true
+			blocks = append(blocks, x)
+			sc.add(x)
 			stack = append(stack, children[x]...)
 		}
 		if len(blocks) < 2 {
 			continue
 		}
-		if _, ok := topoOrder(f, g, blocks, seed); ok {
+		order, ok := topoOrder(g, sc.has, seed, sc.state, sc.order[:0])
+		sc.order = order
+		if ok {
 			regions = append(regions, &region{seed: seed, blocks: blocks, weight: w})
 		}
 	}
-	// Sort by weight, descending (insertion sort: few regions).
-	for i := 1; i < len(regions); i++ {
-		for j := i; j > 0 && regions[j].weight > regions[j-1].weight; j-- {
-			regions[j], regions[j-1] = regions[j-1], regions[j]
-		}
-	}
+	// Heaviest first; equal weights keep discovery order.
+	sort.SliceStable(regions, func(i, j int) bool { return regions[i].weight > regions[j].weight })
 	return regions
 }
 
-// topoOrder topologically sorts the blocks of a region, treating edges into
-// the seed (loop back edges) as absent.  It reports failure when the region
-// is cyclic.
-func topoOrder(f *ir.Func, g *cfg.Graph, blocks map[int]bool, seed int) ([]int, bool) {
-	state := map[int]int{} // 0 unvisited, 1 on stack, 2 done
-	var order []int
+// topoOrder topologically sorts the blocks of a region (those member
+// accepts), treating edges into the seed (loop back edges) as absent, and
+// appends the order to dst.  It reports failure when the region is cyclic.
+// state must be all zero, indexed by block ID, and is left that way.
+func topoOrder(g *cfg.Graph, member func(int) bool, seed int, state []uint8, dst []int) ([]int, bool) {
+	const onStack, done = 1, 2
+	order := dst
 	ok := true
 	var visit func(int)
 	visit = func(id int) {
-		state[id] = 1
+		state[id] = onStack
 		for _, s := range g.Succs[id] {
-			if s == seed || !blocks[s] {
+			if s == seed || !member(s) {
 				continue
 			}
 			switch state[s] {
 			case 0:
 				visit(s)
-			case 1:
+			case onStack:
 				ok = false
 			}
 		}
-		state[id] = 2
+		state[id] = done
 		order = append(order, id)
 	}
 	visit(seed)
+	for _, id := range order[len(dst):] {
+		state[id] = 0
+	}
 	if !ok {
-		return nil, false
+		return order, false
 	}
 	// Reverse postorder.
-	for l, r := 0, len(order)-1; l < r; l, r = l+1, r-1 {
-		order[l], order[r] = order[r], order[l]
-	}
+	slices.Reverse(order[len(dst):])
 	return order, true
 }
 
@@ -248,19 +267,22 @@ func hasHazard(b *ir.Block) bool {
 
 // tryForm selects blocks from the region, removes side entrances by tail
 // duplication, and if-converts the selection into the seed block.  It
-// reports whether a hyperblock was formed and whether the function was
-// mutated (tail duplication can rewrite blocks even when no hyperblock
-// results); a non-nil error is an if-conversion precondition failure that
-// invalidates the function.  g must reflect f's current block structure.
-func tryForm(f *ir.Func, g *cfg.Graph, prof *cfg.Profile, params Params, r *region) (bool, bool, error) {
-	mutated := false
-	order, ok := topoOrder(f, g, r.blocks, r.seed)
+// reports whether a hyperblock was formed; a non-nil error is an
+// if-conversion precondition failure that invalidates the function.  g
+// must reflect f's current block structure, and every rewrite (tail
+// duplication can happen even when no hyperblock results) patches it.
+func tryForm(f *ir.Func, g *cfg.Graph, prof *cfg.Profile, params Params, r *region, sc *scratch) (bool, error) {
+	sc.newRegion(f)
+	for _, id := range r.blocks {
+		sc.add(id)
+	}
+	order, ok := topoOrder(g, sc.has, r.seed, sc.state, nil)
 	if !ok || len(order) < 2 {
-		return false, mutated, nil
+		return false, nil
 	}
 	entryW := prof.Weight(f.Blocks[r.seed])
 	if entryW < params.MinCount || hasHazard(f.Blocks[r.seed]) {
-		return false, mutated, nil
+		return false, nil
 	}
 
 	// Block selection (§3.1): walk the region in topological order and
@@ -345,42 +367,47 @@ func tryForm(f *ir.Func, g *cfg.Graph, prof *cfg.Profile, params Params, r *regi
 	}
 	closeSelection(g, sel, r.seed)
 	if len(sel) < 2 {
-		return false, mutated, nil
+		return false, nil
 	}
 
 	// Side-entrance removal by tail duplication (bounded), dropping blocks
-	// when the duplication budget is exceeded.  g stays current throughout:
-	// only a successful duplication changes the block structure, and only
-	// then is the graph rebuilt.
+	// when the duplication budget is exceeded.  A successful duplication
+	// patches g, so it stays current throughout.
 	for iter := 0; iter < 32; iter++ {
 		entered := sideEntered(g, sel, r.seed)
 		if entered < 0 {
 			break
 		}
-		if tailDuplicate(f, g, sel, r.seed, entered, params.MaxDupInstrs) {
-			mutated = true
-			g.Rebuild()
-		} else {
+		if !tailDuplicate(f, g, sel, r.seed, entered, params.MaxDupInstrs) {
 			delete(sel, entered)
 			closeSelection(g, sel, r.seed)
+		} else if checkStep != nil {
+			checkStep(g)
 		}
 		if len(sel) < 2 {
-			return false, mutated, nil
+			return false, nil
 		}
 	}
 
 	if sideEntered(g, sel, r.seed) >= 0 {
-		return false, mutated, nil
+		return false, nil
 	}
-	order, ok = topoOrder(f, g, sel, r.seed)
+	order, ok = topoOrder(g, func(id int) bool { return sel[id] }, r.seed, sc.state, nil)
 	if !ok {
-		return false, mutated, nil
+		return false, nil
 	}
 	if err := ifConvert(f, g, sel, r.seed, order); err != nil {
-		return false, true, err
+		return false, err
 	}
-	return true, true, nil
+	if checkStep != nil {
+		checkStep(g)
+	}
+	return true, nil
 }
+
+// checkStep, when a test sets it, sees the graph after every step that
+// patches it, so the test can hold it to a fresh cfg.NewGraph.
+var checkStep func(g *cfg.Graph)
 
 // blockHeight estimates the block's internal dependence height in cycles:
 // the longest register flow chain using machine latencies.
@@ -461,8 +488,8 @@ func sideEntered(g *cfg.Graph, sel map[int]bool, seed int) int {
 
 // tailDuplicate clones the selected subgraph reachable from block `from`
 // and redirects every edge from an unselected block into that subgraph to
-// the clones.  It reports false (no change) when the clone would exceed the
-// instruction budget.
+// the clones, patching g to match.  It reports false (no change) when the
+// clone would exceed the instruction budget.
 func tailDuplicate(f *ir.Func, g *cfg.Graph, sel map[int]bool, seed, from, budget int) bool {
 	// D = selected blocks reachable from `from` without passing the seed.
 	dup := map[int]bool{}
@@ -492,7 +519,10 @@ func tailDuplicate(f *ir.Func, g *cfg.Graph, sel map[int]bool, seed, from, budge
 		ids = append(ids, id)
 	}
 	sort.Ints(ids)
+	// patch collects every block whose edges change: the clones and the
+	// redirected predecessors.
 	clone := map[int]int{}
+	var patch []int
 	for _, id := range ids {
 		ob := f.Blocks[id]
 		nb := f.NewBlock()
@@ -502,6 +532,7 @@ func tailDuplicate(f *ir.Func, g *cfg.Graph, sel map[int]bool, seed, from, budge
 			nb.Instrs = append(nb.Instrs, in.Clone())
 		}
 		clone[id] = nb.ID
+		patch = append(patch, nb.ID)
 	}
 	for id := range dup {
 		nb := f.Blocks[clone[id]]
@@ -538,7 +569,9 @@ func tailDuplicate(f *ir.Func, g *cfg.Graph, sel map[int]bool, seed, from, budge
 			if pb.Fall == id {
 				pb.Fall = clone[id]
 			}
+			patch = append(patch, pid)
 		}
 	}
+	g.Patch(patch...)
 	return true
 }

@@ -83,7 +83,7 @@ func ifConvert(f *ir.Func, g *cfg.Graph, sel map[int]bool, seed int, order []int
 	// reaching a later position in the linear hyperblock already implies no
 	// earlier exit branch was taken.
 	ipdom := regionPostdoms(f, sel, seed, order)
-	idom := g.Dominators()
+	idom := regionDoms(g, seed, order)
 	inheritFrom := func(bid int) (int, bool) {
 		for a := idom[bid]; ; a = idom[a] {
 			if a < 0 || !sel[a] {
@@ -261,13 +261,51 @@ func ifConvert(f *ir.Func, g *cfg.Graph, sel map[int]bool, seed int, order []int
 	head := f.Blocks[seed]
 	head.Instrs = out
 	head.Fall = -1
+	patch := []int{seed}
 	for id := range sel {
 		if id != seed {
 			f.Blocks[id].Dead = true
 			f.Blocks[id].Instrs = nil
+			patch = append(patch, id)
 		}
 	}
+	g.Patch(patch...)
 	return nil
+}
+
+// regionDoms computes immediate dominators over the selection, whose
+// blocks are listed in topological order from the seed.  Every
+// predecessor of a non-seed block is selected (side entrances are gone)
+// and edges into the seed are back edges, so one pass in that order
+// settles every block, and each non-seed block's immediate dominator is
+// the same as over the whole function: any path into the selection enters
+// through the seed.  The seed maps to itself.
+func regionDoms(g *cfg.Graph, seed int, order []int) map[int]int {
+	pos := make(map[int]int, len(order))
+	for i, id := range order {
+		pos[id] = i
+	}
+	idom := make(map[int]int, len(order))
+	idom[seed] = seed
+	for _, id := range order[1:] {
+		d := -1
+		for _, p := range g.Preds[id] {
+			if d < 0 {
+				d = p
+				continue
+			}
+			for a := p; a != d; {
+				for pos[a] > pos[d] {
+					a = idom[a]
+				}
+				for pos[d] > pos[a] {
+					d = idom[d]
+				}
+			}
+		}
+		idom[id] = d
+	}
+	return idom
 }
 
 // alwaysDef builds an OR-type predicate define that sets p whenever the

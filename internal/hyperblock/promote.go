@@ -92,7 +92,7 @@ func safeToPromote(f *ir.Func, lv *cfg.Liveness, b *ir.Block, idx int) bool {
 				// the exit may come from a different conditional definition
 				// whose execution the implication says nothing about — so
 				// liveness at the target always rejects.
-				if u.Target >= 0 && lv.RegIn[u.Target].Has(int32(d)) {
+				if lv.RegLiveIn(u.Target, d) {
 					return false
 				}
 			}
@@ -114,7 +114,7 @@ func safeToPromote(f *ir.Func, lv *cfg.Liveness, b *ir.Block, idx int) bool {
 			return true // unconditionally redefined: earlier value dead
 		}
 	}
-	if !b.EndsUnconditionally() && b.Fall >= 0 && lv.RegIn[b.Fall].Has(int32(d)) {
+	if !b.EndsUnconditionally() && lv.RegLiveIn(b.Fall, d) {
 		return false
 	}
 	if b.EndsUnconditionally() {

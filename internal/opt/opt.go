@@ -12,6 +12,8 @@
 package opt
 
 import (
+	"slices"
+
 	"predication/internal/cfg"
 	"predication/internal/ir"
 )
@@ -300,34 +302,35 @@ func DeadCodeElim(f *ir.Func) bool {
 
 func deadCodeElim(f *ir.Func, g *cfg.Graph) bool {
 	lv := cfg.ComputeLiveness(g)
+	live := lv.Walker()
 	changed := false
+	var srcBuf [4]ir.Reg
+	var pBuf [2]ir.PReg
+	var keep []*ir.Instr
 	for _, b := range f.LiveBlocks(nil) {
-		regs := lv.RegOut[b.ID].Copy()
-		preds := lv.PredOut[b.ID].Copy()
-		var keep []*ir.Instr
+		live.Start(b.ID)
+		keep = keep[:0]
 		for i := len(b.Instrs) - 1; i >= 0; i-- {
 			in := b.Instrs[i]
 			// Mid-block exit branches make the target's live-ins live here.
 			switch in.Op {
 			case ir.Jump, ir.BrEQ, ir.BrNE, ir.BrLT, ir.BrLE, ir.BrGT, ir.BrGE:
 				if in.Target >= 0 {
-					regs.OrWith(lv.RegIn[in.Target])
-					preds.OrWith(lv.PredIn[in.Target])
+					live.Exit(in.Target)
 				}
 			}
 			dead := false
 			switch {
 			case in.Op == ir.PredDef:
+				// Pure: dead when none of its destinations is live.
 				dead = true
-				var pBuf [2]ir.PReg
 				for _, p := range in.PredDefs(pBuf[:0]) {
-					if preds.Has(int32(p)) {
+					if live.HasPred(p) {
 						dead = false
 					}
 				}
-				dead = dead && (!in.A.IsReg() || true) // pure: no reg side effects
 			case in.DefReg() != ir.RNone:
-				if !regs.Has(int32(in.Dst)) && (!in.Op.CanExcept() || in.Silent) {
+				if !live.HasReg(in.Dst) && (!in.Op.CanExcept() || in.Silent) {
 					dead = true
 				}
 			case in.Op == ir.Nop:
@@ -340,36 +343,30 @@ func deadCodeElim(f *ir.Func, g *cfg.Graph) bool {
 			keep = append(keep, in)
 			// Update live sets walking backwards over the kept instruction.
 			if d := in.DefReg(); d != ir.RNone && in.Guard == ir.PNone && !in.ConditionalDef() {
-				regs.Clear(int32(d))
-			}
-			if in.Op == ir.PredDef && in.Guard == ir.PNone {
-				for _, pd := range []ir.PredDest{in.P1, in.P2} {
-					if pd.Type == ir.PredU || pd.Type == ir.PredUBar {
-						preds.Clear(int32(pd.P))
-					}
-				}
+				live.KillReg(d)
 			}
 			if in.Op == ir.PredDef {
-				for _, pd := range []ir.PredDest{in.P1, in.P2} {
+				for _, pd := range [2]ir.PredDest{in.P1, in.P2} {
+					if in.Guard == ir.PNone && (pd.Type == ir.PredU || pd.Type == ir.PredUBar) {
+						live.KillPred(pd.P)
+					}
+				}
+				for _, pd := range [2]ir.PredDest{in.P1, in.P2} {
 					if pd.Type != ir.PredNone && pd.Type != ir.PredU && pd.Type != ir.PredUBar {
-						preds.Set(int32(pd.P))
+						live.SetPred(pd.P)
 					}
 				}
 			}
-			var srcBuf [4]ir.Reg
 			for _, s := range in.SrcRegs(srcBuf[:0]) {
-				regs.Set(int32(s))
+				live.SetReg(s)
 			}
 			if in.Guard != ir.PNone {
-				preds.Set(int32(in.Guard))
+				live.SetPred(in.Guard)
 			}
 		}
 		if len(keep) != len(b.Instrs) {
-			// keep is reversed.
-			for l, r := 0, len(keep)-1; l < r; l, r = l+1, r-1 {
-				keep[l], keep[r] = keep[r], keep[l]
-			}
-			b.Instrs = keep
+			slices.Reverse(keep) // collected walking backwards
+			b.Instrs = append(b.Instrs[:0], keep...)
 		}
 	}
 	return changed

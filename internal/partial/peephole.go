@@ -49,7 +49,7 @@ func forwardMoves(f *ir.Func) {
 			}
 			if (in.Op == ir.CMov || in.Op == ir.CMovCom) && in.A.IsReg() {
 				t := in.A.R
-				if m, ok := movOf[t]; ok && uses[t] == 1 && !lv.RegOut[b.ID].Has(int32(t)) {
+				if m, ok := movOf[t]; ok && uses[t] == 1 && !lv.RegLiveOut(b.ID, t) {
 					// The mov's source must not be redefined in between;
 					// movOf tracking guarantees it (any redefinition of the
 					// source would... be checked below).
@@ -120,7 +120,7 @@ func invertComparisons(f *ir.Func) {
 			}
 			k := cmpKey{c, in.A, in.B}
 			if prev, found := defs[cmpKey{c.Invert(), in.A, in.B}]; found &&
-				!lv.RegOut[b.ID].Has(int32(in.Dst)) &&
+				!lv.RegLiveOut(b.ID, in.Dst) &&
 				operandsStable(b, prev.idx, i, in.A, in.B) {
 				tryInvertUses(b, i, in.Dst, prev.in.Dst)
 			}
@@ -334,7 +334,7 @@ func valueEscapes(lv *cfg.Liveness, b *ir.Block, k, j int) bool {
 		switch u.Op {
 		case ir.Jump, ir.BrEQ, ir.BrNE, ir.BrLT, ir.BrLE, ir.BrGT, ir.BrGE:
 			// A mid-block exit: the value escapes if live at the target.
-			if u.Target >= 0 && lv.RegIn[u.Target].Has(int32(d)) {
+			if lv.RegLiveIn(u.Target, d) {
 				return true
 			}
 		}
@@ -342,7 +342,7 @@ func valueEscapes(lv *cfg.Liveness, b *ir.Block, k, j int) bool {
 			return false
 		}
 	}
-	return lv.RegOut[b.ID].Has(int32(d))
+	return lv.RegLiveOut(b.ID, d)
 }
 
 // regDefinedBetween reports whether reg is written by instructions in

@@ -92,11 +92,11 @@ func allocateFunc(p *ir.Program, f *ir.Func, numRegs int, res *Result) error {
 		if !g.Reachable(b.ID) {
 			continue
 		}
-		for v := ir.Reg(1); v < f.NextReg; v++ {
-			if lv.RegIn[b.ID].Has(int32(v)) {
+		for _, v := range lv.Regs() {
+			if lv.RegLiveIn(b.ID, v) {
 				touch(v, starts[b.ID])
 			}
-			if lv.RegOut[b.ID].Has(int32(v)) {
+			if lv.RegLiveOut(b.ID, v) {
 				touch(v, ends[b.ID])
 			}
 		}

@@ -32,30 +32,17 @@ type Pressure struct {
 func Analyze(f *ir.Func) Pressure {
 	g := cfg.NewGraph(f)
 	lv := cfg.ComputeLiveness(g)
+	live := lv.Walker()
 	pr := Pressure{Virtual: int(f.NextReg) - 1}
-	count := func(s cfg.BitSet) int {
-		n := 0
-		for _, w := range s {
-			for ; w != 0; w &= w - 1 {
-				n++
-			}
-		}
-		return n
-	}
 	for _, b := range f.LiveBlocks(nil) {
 		if !g.Reachable(b.ID) {
 			continue
 		}
 		// Walk backwards from live-out, sampling after every instruction.
-		regs := lv.RegOut[b.ID].Copy()
-		preds := lv.PredOut[b.ID].Copy()
+		live.Start(b.ID)
 		sample := func() {
-			if n := count(regs); n > pr.MaxLive {
-				pr.MaxLive = n
-			}
-			if n := count(preds); n > pr.MaxLivePreds {
-				pr.MaxLivePreds = n
-			}
+			pr.MaxLive = max(pr.MaxLive, live.NumRegs())
+			pr.MaxLivePreds = max(pr.MaxLivePreds, live.NumPreds())
 		}
 		sample()
 		var srcBuf [4]ir.Reg
@@ -64,30 +51,29 @@ func Analyze(f *ir.Func) Pressure {
 			switch in.Op {
 			case ir.Jump, ir.BrEQ, ir.BrNE, ir.BrLT, ir.BrLE, ir.BrGT, ir.BrGE:
 				if in.Target >= 0 {
-					regs.OrWith(lv.RegIn[in.Target])
-					preds.OrWith(lv.PredIn[in.Target])
+					live.Exit(in.Target)
 				}
 			}
 			if d := in.DefReg(); d != ir.RNone && in.Guard == ir.PNone && !in.ConditionalDef() {
-				regs.Clear(int32(d))
+				live.KillReg(d)
 			}
 			if in.Op == ir.PredDef && in.Guard == ir.PNone {
-				for _, pd := range []ir.PredDest{in.P1, in.P2} {
+				for _, pd := range [2]ir.PredDest{in.P1, in.P2} {
 					if pd.Type == ir.PredU || pd.Type == ir.PredUBar {
-						preds.Clear(int32(pd.P))
+						live.KillPred(pd.P)
 					}
 				}
 			}
 			for _, s := range in.SrcRegs(srcBuf[:0]) {
-				regs.Set(int32(s))
+				live.SetReg(s)
 			}
 			if in.Guard != ir.PNone {
-				preds.Set(int32(in.Guard))
+				live.SetPred(in.Guard)
 			}
 			if in.Op == ir.PredDef {
-				for _, pd := range []ir.PredDest{in.P1, in.P2} {
+				for _, pd := range [2]ir.PredDest{in.P1, in.P2} {
 					if pd.Type != ir.PredNone && pd.Type != ir.PredU && pd.Type != ir.PredUBar {
-						preds.Set(int32(pd.P))
+						live.SetPred(pd.P)
 					}
 				}
 			}

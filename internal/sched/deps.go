@@ -310,20 +310,20 @@ func speculable(in *ir.Instr, br *ir.Instr, lv *cfg.Liveness) bool {
 		return false
 	}
 	target := br.Target
-	if target < 0 || target >= len(lv.RegIn) || lv.RegIn[target] == nil {
+	if !lv.Tracks(target) {
 		return false
 	}
 	if in.Op == ir.PredDef {
 		var pBuf [2]ir.PReg
 		for _, p := range in.PredDefs(pBuf[:0]) {
-			if lv.PredIn[target].Has(int32(p)) {
+			if lv.PredLiveIn(target, p) {
 				return false
 			}
 		}
 		return true
 	}
 	if d := in.DefReg(); d != ir.RNone {
-		return !lv.RegIn[target].Has(int32(d))
+		return !lv.RegLiveIn(target, d)
 	}
 	return false
 }

@@ -47,8 +47,8 @@ func Form(p *ir.Program, prof *cfg.Profile, params Params) {
 
 func formFunc(f *ir.Func, prof *cfg.Profile, params Params) {
 	inTrace := map[int]bool{}
-	// One CFG serves consecutive trace selections; it is rebuilt only after
-	// a transformation (tail duplication or merge) changes block structure.
+	// One CFG serves the whole formation: tail duplication and merging
+	// patch the blocks they rewrite instead of rebuilding it.
 	g := cfg.NewGraph(f)
 	// Profile weights are fixed for the whole formation, so the candidate
 	// seeds can be ranked once up front instead of rescanning every block
@@ -95,17 +95,22 @@ func formFunc(f *ir.Func, prof *cfg.Profile, params Params) {
 		if len(trace) < 2 {
 			continue
 		}
-		var mutated bool
-		trace, mutated = removeSideEntrances(f, g, params, trace)
-		if len(trace) >= 2 {
-			merge(f, trace)
-			mutated = true
+		trace = removeSideEntrances(f, g, params, trace)
+		if checkStep != nil {
+			checkStep(g)
 		}
-		if mutated {
-			g.Rebuild()
+		if len(trace) >= 2 {
+			merge(f, g, trace)
+			if checkStep != nil {
+				checkStep(g)
+			}
 		}
 	}
 }
+
+// checkStep, when a test sets it, sees the graph after every step that
+// patches it, so the test can hold it to a fresh cfg.NewGraph.
+var checkStep func(g *cfg.Graph)
 
 // rankSeeds lists the IDs of all live blocks heavy enough to seed a trace,
 // highest weight first (ties go to the lower ID, matching selectSeed's
@@ -227,9 +232,9 @@ func hasHazard(b *ir.Block) bool {
 // removeSideEntrances tail-duplicates the trace suffix from the first block
 // with a predecessor outside the trace, so the trace becomes single entry.
 // If duplication would exceed the budget the trace is truncated instead.
-// g must reflect f's current block structure; the second result reports
-// whether f was rewritten (and g therefore invalidated).
-func removeSideEntrances(f *ir.Func, g *cfg.Graph, params Params, trace []int) ([]int, bool) {
+// g must reflect f's current block structure, and is patched to match the
+// duplication.
+func removeSideEntrances(f *ir.Func, g *cfg.Graph, params Params, trace []int) []int {
 	pos := map[int]int{}
 	for i, id := range trace {
 		pos[id] = i
@@ -248,7 +253,7 @@ func removeSideEntrances(f *ir.Func, g *cfg.Graph, params Params, trace []int) (
 		}
 	}
 	if first < 0 {
-		return trace, false
+		return trace
 	}
 	// Budget check.
 	dupInstrs := 0
@@ -256,10 +261,13 @@ func removeSideEntrances(f *ir.Func, g *cfg.Graph, params Params, trace []int) (
 		dupInstrs += len(f.Blocks[id].Instrs)
 	}
 	if dupInstrs > params.MaxDupInstrs {
-		return trace[:first], false
+		return trace[:first]
 	}
-	// Duplicate trace[first:] as a chain of fresh blocks.
+	// Duplicate trace[first:] as a chain of fresh blocks.  patch collects
+	// every block whose edges change: the clones and the redirected
+	// predecessors.
 	clone := map[int]int{}
+	var patch []int
 	for _, id := range trace[first:] {
 		ob := f.Blocks[id]
 		nb := f.NewBlock()
@@ -269,6 +277,7 @@ func removeSideEntrances(f *ir.Func, g *cfg.Graph, params Params, trace []int) (
 			nb.Instrs = append(nb.Instrs, in.Clone())
 		}
 		clone[id] = nb.ID
+		patch = append(patch, nb.ID)
 	}
 	// Internal edges within the duplicated suffix point at the duplicates.
 	for _, id := range trace[first:] {
@@ -308,15 +317,17 @@ func removeSideEntrances(f *ir.Func, g *cfg.Graph, params Params, trace []int) (
 			if pb.Fall == id {
 				pb.Fall = clone[id]
 			}
+			patch = append(patch, pid)
 		}
 	}
-	return trace, true
+	g.Patch(patch...)
+	return trace
 }
 
 // merge concatenates the (now single-entry) trace into its head block,
 // turning internal branches into fallthrough and keeping exit branches
-// inline.  The non-head trace blocks become dead.
-func merge(f *ir.Func, trace []int) {
+// inline, and patches g to match.  The non-head trace blocks become dead.
+func merge(f *ir.Func, g *cfg.Graph, trace []int) {
 	head := f.Blocks[trace[0]]
 	var out []*ir.Instr
 	out = append(out, head.Instrs...)
@@ -329,14 +340,11 @@ func merge(f *ir.Func, trace []int) {
 	}
 	head.Instrs = out
 	head.Fall = prev.Fall
-	if prev != head {
-		t := prev.Terminator()
-		_ = t
-	}
 	for _, id := range trace[1:] {
 		f.Blocks[id].Dead = true
 		f.Blocks[id].Instrs = nil
 	}
+	g.Patch(trace...)
 }
 
 // linkInto rewrites prev's terminator so control continues inline to the
