@@ -382,7 +382,7 @@ type Loop struct {
 
 // NaturalLoops finds all natural loops (back edges whose target dominates
 // the source), merging loops that share a header.  Inner loops come first in
-// the returned slice (ordered by ascending body size).
+// the returned slice (ordered by ascending body size, then header ID).
 func (g *Graph) NaturalLoops() []*Loop {
 	idom := g.Dominators()
 	byHeader := map[int]*Loop{}
@@ -419,11 +419,13 @@ func (g *Graph) NaturalLoops() []*Loop {
 	for _, l := range byHeader {
 		loops = append(loops, l)
 	}
-	// Ascending body size: inner loops first.
-	for i := 1; i < len(loops); i++ {
-		for j := i; j > 0 && len(loops[j].Blocks) < len(loops[j-1].Blocks); j-- {
-			loops[j], loops[j-1] = loops[j-1], loops[j]
+	// Ascending body size: inner loops first.  Equal sizes go by header ID,
+	// so the order, and everything formed from it, is the same every run.
+	slices.SortFunc(loops, func(a, b *Loop) int {
+		if d := len(a.Blocks) - len(b.Blocks); d != 0 {
+			return d
 		}
-	}
+		return a.Header - b.Header
+	})
 	return loops
 }

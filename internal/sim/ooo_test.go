@@ -158,17 +158,29 @@ func TestOoOBreakdownInvariant(t *testing.T) {
 	if testing.Short() {
 		kernels = kernels[:4]
 	}
-	windows := []int{1, 2, 8, 32}
-	bases := []machine.Config{machine.Issue8Br1(), machine.Issue8Br1Cache(), machine.Issue1()}
-	var total obs.Breakdown
+	// The inputs: every kernel compiled for full predication, plus a
+	// program that fills a small window by construction (the kernels
+	// alone attribute window_full on eqn only).
+	type input struct {
+		name string
+		prog *ir.Program
+	}
+	var inputs []input
 	for _, k := range kernels {
 		c, err := core.Compile(k.Build(), core.FullPred, core.DefaultOptions(machine.Issue8Br1()))
 		if err != nil {
 			t.Fatalf("%s: compile: %v", k.Name, err)
 		}
-		res, err := emu.Run(c.Prog, emu.Options{Trace: true})
+		inputs = append(inputs, input{k.Name, c.Prog})
+	}
+	inputs = append(inputs, input{"window-fill", windowFill()})
+	windows := []int{1, 2, 8, 32}
+	bases := []machine.Config{machine.Issue8Br1(), machine.Issue8Br1Cache(), machine.Issue1()}
+	var total obs.Breakdown
+	for _, in := range inputs {
+		res, err := emu.Run(in.prog, emu.Options{Trace: true})
 		if err != nil {
-			t.Fatalf("%s: emulate: %v", k.Name, err)
+			t.Fatalf("%s: emulate: %v", in.name, err)
 		}
 		for _, base := range bases {
 			for _, w := range windows {
@@ -176,32 +188,32 @@ func TestOoOBreakdownInvariant(t *testing.T) {
 				cfg.OoO = true
 				cfg.WindowSize = w
 
-				s := NewTiming(c.Prog, cfg)
+				s := NewTiming(in.prog, cfg)
 				var a obs.CycleAccount
 				s.Instrument(&a)
 				for _, ev := range res.Trace {
 					s.Event(ev)
 				}
 				st := s.Stats()
-				if plain := simulateOoO(c.Prog, res.Trace, cfg); plain != st {
+				if plain := simulateOoO(in.prog, res.Trace, cfg); plain != st {
 					t.Errorf("%s @ %s/w%d: instrumentation changed stats:\n  plain %+v\n  obs   %+v",
-						k.Name, base.Name, w, plain, st)
+						in.name, base.Name, w, plain, st)
 				}
 				if err := a.Verify(st.Cycles, st.Instrs, st.Nullified); err != nil {
-					t.Errorf("%s @ %s/w%d: %v\n  breakdown %v", k.Name, base.Name, w, err, a.Breakdown)
+					t.Errorf("%s @ %s/w%d: %v\n  breakdown %v", in.name, base.Name, w, err, a.Breakdown)
 				}
 
-				g := NewGang(c.Prog, []machine.Config{cfg})
+				g := NewGang(in.prog, []machine.Config{cfg})
 				var ga obs.CycleAccount
 				g.Instrument(0, &ga)
 				feedGang(g, res.Trace)
 				if gst := g.Stats(0); gst != st {
 					t.Errorf("%s @ %s/w%d: instrumented gang lane diverges:\n  lane %+v\n  ref  %+v",
-						k.Name, base.Name, w, gst, st)
+						in.name, base.Name, w, gst, st)
 				}
 				if ga != a {
 					t.Errorf("%s @ %s/w%d: gang account diverges from one-lane simulator:\n  lane %+v\n  ref  %+v",
-						k.Name, base.Name, w, ga, a)
+						in.name, base.Name, w, ga, a)
 				}
 				for c := obs.Cause(0); c < obs.NumCauses; c++ {
 					total[c] += a.Breakdown[c]
@@ -215,6 +227,32 @@ func TestOoOBreakdownInvariant(t *testing.T) {
 	if total[obs.CauseRenameStall] == 0 {
 		t.Error("rename_stall never attributed across the matrix; 1-wide dispatch must saturate")
 	}
+}
+
+// windowFill is a straight-line program that backs up a one- or two-entry
+// window by construction on the cached machine.  A dependent divide chain
+// fills the first 64-byte instruction-cache line; the first of sixteen
+// independent adds opens the next, cold line, so its dispatch waits for
+// the window (the last divides' issue) and then for the miss.  The rest of
+// the line arrives with it, more adds than the machine dispatches in one
+// cycle, and that overflow of a window-gated dispatch cohort is what
+// window_full charges.
+func windowFill() *ir.Program {
+	p := builder.New(64)
+	f := p.Func("main")
+	b := f.Entry()
+	r := f.Reg()
+	b.Mov(r, 1000)
+	for i := 0; i < 15; i++ { // with the mov, one 16-instruction line
+		b.I(ir.Div, r, r, 1)
+	}
+	for i := 0; i < 16; i++ {
+		b.I(ir.Add, f.Reg(), int64(i), 1)
+	}
+	b.Halt()
+	prog := p.Program()
+	prog.AssignAddresses()
+	return prog
 }
 
 // TestOoOOverlapBeatsInOrder is the model's reason to exist: a slow

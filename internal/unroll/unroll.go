@@ -16,6 +16,8 @@
 package unroll
 
 import (
+	"slices"
+
 	"predication/internal/cfg"
 	"predication/internal/ir"
 )
@@ -91,17 +93,24 @@ func applyFunc(f *ir.Func, prof *cfg.Profile, params Params) int {
 }
 
 // unrollLoop clones the loop body factor-1 times and rechains back edges.
+// Bodies are cloned in block-ID order, so the copies' IDs, and with them
+// the code layout, do not depend on map iteration order.
 func unrollLoop(f *ir.Func, prof *cfg.Profile, l *cfg.Loop, factor int) {
+	body := make([]int, 0, len(l.Blocks))
+	for id := range l.Blocks {
+		body = append(body, id)
+	}
+	slices.Sort(body)
 	// copies[k] maps original block ID -> copy-k block (copy 0 is the
 	// original).
 	copies := make([]map[int]int, factor)
 	copies[0] = map[int]int{}
-	for id := range l.Blocks {
+	for _, id := range body {
 		copies[0][id] = id
 	}
 	for k := 1; k < factor; k++ {
 		copies[k] = map[int]int{}
-		for id := range l.Blocks {
+		for _, id := range body {
 			ob := f.Blocks[id]
 			nb := f.NewBlock()
 			nb.Name = ob.Name + ".u"
@@ -133,7 +142,7 @@ func unrollLoop(f *ir.Func, prof *cfg.Profile, l *cfg.Loop, factor int) {
 		if k+1 < factor {
 			nextHeader = copies[k+1][l.Header]
 		}
-		for id := range l.Blocks {
+		for _, id := range body {
 			b := f.Blocks[copies[k][id]]
 			for _, in := range b.Instrs {
 				switch in.Op {
