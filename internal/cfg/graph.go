@@ -32,9 +32,8 @@ type Graph struct {
 	// Patch that could not certify some block's reachability locally.
 	stale, unsure bool
 
-	// Scratch storage retained across Rebuild: formation passes rebuild the
-	// graph after every structural change, so steady-state rebuilds must not
-	// allocate.
+	// Scratch storage retained across Rebuild and Patch, so steady-state
+	// rebuilds do not allocate.
 	sbuf    []int
 	pbuf    []int
 	counts  []int
@@ -217,8 +216,8 @@ func (g *Graph) Patch(ids ...int) {
 		g.rank = append(g.rank, -1)
 	}
 	g.stale = true
-	// work holds gained edges as (from, to) pairs, then the blocks that
-	// lost an in-edge.
+	// gained holds the new edges as (from, to) pairs; lost holds the
+	// targets of removed ones.
 	gained := g.work[:0]
 	var lost []int
 	for _, id := range ids {

@@ -29,13 +29,6 @@ func (s BitSet) OrWith(other BitSet) bool {
 	return changed
 }
 
-// Copy duplicates the set.
-func (s BitSet) Copy() BitSet {
-	c := make(BitSet, len(s))
-	copy(c, s)
-	return c
-}
-
 // Liveness holds per-block live-in/live-out sets for integer/FP registers
 // and for predicate registers.
 //

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"predication/internal/bench"
@@ -43,7 +44,7 @@ func newDenseLiveness(f *ir.Func) *denseLiveness {
 					changed = lv.predOut[id].OrWith(lv.predIn[s]) || changed
 				}
 			}
-			regs, preds := lv.regOut[id].Copy(), lv.predOut[id].Copy()
+			regs, preds := slices.Clone(lv.regOut[id]), slices.Clone(lv.predOut[id])
 			lv.step(b.Instrs, regs, preds)
 			changed = lv.regIn[id].OrWith(regs) || changed
 			changed = lv.predIn[id].OrWith(preds) || changed

@@ -378,11 +378,13 @@ func tryForm(f *ir.Func, g *cfg.Graph, prof *cfg.Profile, params Params, r *regi
 		if entered < 0 {
 			break
 		}
-		if !tailDuplicate(f, g, sel, r.seed, entered, params.MaxDupInstrs) {
+		if tailDuplicate(f, g, sel, r.seed, entered, params.MaxDupInstrs) {
+			if checkStep != nil {
+				checkStep(g)
+			}
+		} else {
 			delete(sel, entered)
 			closeSelection(g, sel, r.seed)
-		} else if checkStep != nil {
-			checkStep(g)
 		}
 		if len(sel) < 2 {
 			return false, nil

@@ -366,7 +366,7 @@ func deadCodeElim(f *ir.Func, g *cfg.Graph) bool {
 		}
 		if len(keep) != len(b.Instrs) {
 			slices.Reverse(keep) // collected walking backwards
-			b.Instrs = append(b.Instrs[:0], keep...)
+			b.Instrs = slices.Clone(keep)
 		}
 	}
 	return changed
