@@ -114,3 +114,36 @@ func TestModelInstructionPopulations(t *testing.T) {
 		t.Error("full-predication code lost its predication")
 	}
 }
+
+// TestDeriveFamilies pins which forms Derive converts: the fully
+// predicated form serves full predication and guard instructions as is
+// and converts to conditional moves; nothing derives across families or
+// back from conditional moves.
+func TestDeriveFamilies(t *testing.T) {
+	k, _ := bench.ByName("wc")
+	opts := DefaultOptions(machine.Config{})
+	full, err := Form(k.Build(), FullPred, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sb, err := Form(k.Build(), Superblock, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	guard, err := full.Derive(GuardInstr, opts)
+	if err != nil || guard.Prog != full.Prog {
+		t.Errorf("guard form does not share the fully predicated program: %v", err)
+	}
+	cmov, err := full.Derive(CondMove, opts)
+	if err != nil || cmov.Prog == full.Prog {
+		t.Errorf("conditional-move form is not a converted clone: %v", err)
+	}
+	for _, bad := range []struct {
+		from  *Formed
+		model Model
+	}{{sb, FullPred}, {sb, CondMove}, {full, Superblock}, {cmov, FullPred}, {full, Model(42)}} {
+		if _, err := bad.from.Derive(bad.model, opts); err == nil {
+			t.Errorf("derived %v code from a %v form", bad.model, bad.from.Model)
+		}
+	}
+}

@@ -8,9 +8,17 @@
 //     promotion, basic conversions, peephole optimization).
 //   - FullPred: hyperblock formation with the code left fully predicated.
 //
-// Every pipeline profiles its own clone of the input program (the paper's
-// profile-driven formation), optimizes, schedules for the target machine,
-// and assigns code addresses for the cache/BTB models.
+// A pipeline has two halves, and only the second reads the target
+// machine.  Form profiles its own clone of the input program (the paper's
+// profile-driven formation), forms superblocks or hyperblocks and
+// optimizes them; for conditional move it then converts the fully
+// predicated code.  Schedule clones a formed program, schedules it for
+// one target, lowers guards for the guard-instruction model, checks the
+// result's legality and assigns code addresses for the cache/BTB models.
+// Compile runs both halves on one program.  A caller that measures one
+// kernel on several targets forms once per model family and schedules per
+// target, deriving the conditional-move form from the fully predicated
+// one (Formed.Derive), as the paper's compiler does.
 package core
 
 import (
@@ -134,38 +142,130 @@ func DefaultOptions(mc machine.Config) Options {
 type Compiled struct {
 	Prog  *ir.Program
 	Model Model
-	// HyperblockHeads maps function index to hyperblock head block IDs
-	// (empty for the superblock model).
-	HyperblockHeads map[int][]int
-	// Profile is the edge profile collected on Prog before transformation.
-	Profile *cfg.Profile
 }
 
-// Compile clones the source program and runs the pipeline for the model.
-// The source program is never modified.
-func Compile(src *ir.Program, model Model, opts Options) (*Compiled, error) {
-	p := src.Clone()
-	p.Normalize()
-	stage := func(name string) error {
-		if opts.Pipeline != nil {
-			opts.Pipeline.Record(name, p)
-		}
-		if opts.StageHook != nil {
-			opts.StageHook(name, p)
-		}
-		if opts.VerifyStages {
-			if diags := irverify.Verify(p, irverify.Options{Pass: name}); len(diags) > 0 {
-				return fmt.Errorf("core: %v pipeline: %w", model, irverify.Error(diags))
-			}
-		}
-		return nil
+// Family returns the model whose formed program m's pipeline shares:
+// FullPred for the three hyperblock models (conditional-move code is
+// derived from the fully predicated hyperblocks, and guard instructions
+// are lowered from them after scheduling), and m itself otherwise.
+func (m Model) Family() Model {
+	if m == CondMove || m == GuardInstr {
+		return FullPred
 	}
-	if err := stage("normalize"); err != nil {
+	return m
+}
+
+// Formed is a program after every stage of its model's pipeline that does
+// not read the target machine.  Prog must not be modified once Form
+// returns: Schedule and Derive work on clones, so one Formed serves every
+// target and concurrent Schedule calls are safe.
+type Formed struct {
+	Prog  *ir.Program
+	Model Model
+}
+
+// Compile clones the source program and runs the pipeline for the model:
+// Form and Schedule on one program, scheduling in place.  The source
+// program is never modified.
+func Compile(src *ir.Program, model Model, opts Options) (*Compiled, error) {
+	f, err := Form(src, model, opts)
+	if err != nil {
 		return nil, err
+	}
+	if err := schedule(f.Prog, model, opts); err != nil {
+		return nil, err
+	}
+	return &Compiled{Prog: f.Prog, Model: model}, nil
+}
+
+// Form clones the source program and runs every stage of the model's
+// pipeline that does not read opts.Machine: normalization, the profiling
+// emulation, unrolling, superblock or hyperblock formation with
+// promotion and branch combining, and for CondMove the full-to-partial
+// conversion and peephole.  The source program is never modified.
+func Form(src *ir.Program, model Model, opts Options) (*Formed, error) {
+	p := src.Clone()
+	if err := form(p, model, opts); err != nil {
+		return nil, err
+	}
+	return &Formed{Prog: p, Model: model}, nil
+}
+
+// Schedule clones the formed program and runs the per-target stages for
+// opts.Machine: list scheduling, guard lowering for GuardInstr, the final
+// legality check (VerifyEmitted) and code addresses.  The result is the
+// listing Compile emits for the same model and options.
+func (f *Formed) Schedule(opts Options) (*Compiled, error) {
+	p := f.Prog.Clone()
+	if err := schedule(p, f.Model, opts); err != nil {
+		return nil, err
+	}
+	return &Compiled{Prog: p, Model: f.Model}, nil
+}
+
+// Derive returns the form of another model of f's family (see Family)
+// without forming again.  The fully predicated hyperblocks are the form
+// of both FullPred and GuardInstr, so between those two the program is
+// shared; CondMove clones it and runs the full-to-partial conversion and
+// peephole, the paper's derivation of conditional-move code (§3).  A
+// conditional-move form derives nothing but itself.
+func (f *Formed) Derive(model Model, opts Options) (*Formed, error) {
+	switch {
+	case model == f.Model:
+		return f, nil
+	case f.Model == CondMove || f.Model.Family() != FullPred || model.Family() != FullPred:
+		return nil, fmt.Errorf("core: cannot derive %v code from a %v form", model, f.Model)
+	case model != CondMove:
+		return &Formed{Prog: f.Prog, Model: model}, nil
+	}
+	p := f.Prog.Clone()
+	if err := convert(p, opts); err != nil {
+		return nil, err
+	}
+	if err := p.Verify(); err != nil {
+		return nil, fmt.Errorf("core: %v pipeline produced invalid IR: %w", model, err)
+	}
+	return &Formed{Prog: p, Model: model}, nil
+}
+
+// stager reports one pipeline stage to the options' observers: the stage
+// trace, the stage hook and, under VerifyStages, the structural verifier.
+type stager struct {
+	p     *ir.Program
+	model Model
+	opts  *Options
+}
+
+func (s stager) stage(name string) error {
+	if s.opts.Pipeline != nil {
+		s.opts.Pipeline.Record(name, s.p)
+	}
+	if s.opts.StageHook != nil {
+		s.opts.StageHook(name, s.p)
+	}
+	if s.opts.VerifyStages {
+		if diags := irverify.Verify(s.p, irverify.Options{Pass: name}); len(diags) > 0 {
+			return fmt.Errorf("core: %v pipeline: %w", s.model, irverify.Error(diags))
+		}
+	}
+	return nil
+}
+
+// form runs Form's stages on p in place.
+func form(p *ir.Program, model Model, opts Options) error {
+	switch model {
+	case Superblock, CondMove, FullPred, GuardInstr:
+	default:
+		return fmt.Errorf("core: unknown model %v", model)
+	}
+	st := stager{p, model, &opts}
+	p.Normalize()
+	if err := st.stage("normalize"); err != nil {
+		return err
 	}
 	prof := cfg.NewProfile()
 	if _, err := emu.Run(p, emu.Options{Profile: prof, MaxSteps: opts.ProfileSteps}); err != nil {
-		return nil, fmt.Errorf("core: profiling run failed: %w", err)
+		return fmt.Errorf("core: profiling run failed: %w", err)
 	}
 	if opts.Pipeline != nil {
 		// The profiling emulation is not a transformation, but it is real
@@ -173,33 +273,30 @@ func Compile(src *ir.Program, model Model, opts Options) (*Compiled, error) {
 		// wall time is its own.
 		opts.Pipeline.Record("profile", p)
 	}
-	res := &Compiled{Prog: p, Model: model, Profile: prof}
 
 	if unroll.Apply(p, prof, opts.Unroll) > 0 {
-		if err := stage("unroll"); err != nil {
-			return nil, err
+		if err := st.stage("unroll"); err != nil {
+			return err
 		}
 		if err := p.Verify(); err != nil {
-			return nil, fmt.Errorf("core: unrolling produced invalid IR: %w", err)
+			return fmt.Errorf("core: unrolling produced invalid IR: %w", err)
 		}
 	}
 
-	switch model {
-	case Superblock:
+	if model == Superblock {
 		superblock.Form(p, prof, opts.Superblock)
-		if err := stage("superblock-formation"); err != nil {
-			return nil, err
+		if err := st.stage("superblock-formation"); err != nil {
+			return err
 		}
 		cleanup(p)
-		if err := stage("cleanup"); err != nil {
-			return nil, err
+		if err := st.stage("cleanup"); err != nil {
+			return err
 		}
-	case CondMove, FullPred, GuardInstr:
+	} else {
 		hb, err := hyperblock.Form(p, prof, opts.Hyperblock)
 		if err != nil {
-			return nil, fmt.Errorf("core: hyperblock formation failed: %w", err)
+			return fmt.Errorf("core: hyperblock formation failed: %w", err)
 		}
-		res.HyperblockHeads = hb.Heads
 		if opts.Pipeline != nil {
 			for fi := range p.Funcs { // index order: hb.Heads is a map
 				for _, id := range hb.Heads[fi] {
@@ -208,8 +305,8 @@ func Compile(src *ir.Program, model Model, opts Options) (*Compiled, error) {
 				}
 			}
 		}
-		if err := stage("hyperblock-formation"); err != nil {
-			return nil, err
+		if err := st.stage("hyperblock-formation"); err != nil {
+			return err
 		}
 		cleanup(p)
 		if !opts.NoPromotion {
@@ -223,84 +320,103 @@ func Compile(src *ir.Program, model Model, opts Options) (*Compiled, error) {
 				}
 			}
 			cleanup(p)
-			if err := stage("promotion"); err != nil {
-				return nil, err
+			if err := st.stage("promotion"); err != nil {
+				return err
 			}
 		}
 		for fi, heads := range hb.Heads {
 			hyperblock.CombineBranches(p.Funcs[fi], heads, prof, opts.Hyperblock)
 		}
-		if err := stage("branch-combining"); err != nil {
-			return nil, err
+		if err := st.stage("branch-combining"); err != nil {
+			return err
 		}
 		if model == CondMove {
-			if err := partial.Convert(p, opts.Partial); err != nil {
-				return nil, fmt.Errorf("core: %w", err)
-			}
-			cleanup(p)
-			if err := stage("partial-conversion"); err != nil {
-				return nil, err
-			}
-			if !opts.NoPeephole {
-				partial.Peephole(p)
-				if opts.Partial.UseSelect {
-					partial.FuseSelects(p)
-				}
-				cleanup(p)
-				if err := stage("peephole"); err != nil {
-					return nil, err
-				}
+			if err := convert(p, opts); err != nil {
+				return err
 			}
 		}
-	default:
-		return nil, fmt.Errorf("core: unknown model %v", model)
 	}
 
 	if err := p.Verify(); err != nil {
-		return nil, fmt.Errorf("core: %v pipeline produced invalid IR: %w", model, err)
+		return fmt.Errorf("core: %v pipeline produced invalid IR: %w", model, err)
 	}
+	return nil
+}
+
+// convert lowers fully predicated hyperblocks to conditional-move code in
+// place: the full-to-partial conversion, then the peephole pass.
+func convert(p *ir.Program, opts Options) error {
+	st := stager{p, CondMove, &opts}
+	if err := partial.Convert(p, opts.Partial); err != nil {
+		return fmt.Errorf("core: %w", err)
+	}
+	cleanup(p)
+	if err := st.stage("partial-conversion"); err != nil {
+		return err
+	}
+	if !opts.NoPeephole {
+		partial.Peephole(p)
+		if opts.Partial.UseSelect {
+			partial.FuseSelects(p)
+		}
+		cleanup(p)
+		if err := st.stage("peephole"); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// schedule runs Schedule's stages on p in place.
+func schedule(p *ir.Program, model Model, opts Options) error {
+	st := stager{p, model, &opts}
 	if !opts.NoSchedule {
 		sched.Schedule(p, opts.Machine)
-		if err := stage("schedule"); err != nil {
-			return nil, err
+		if err := st.stage("schedule"); err != nil {
+			return err
 		}
 		if err := p.Verify(); err != nil {
-			return nil, fmt.Errorf("core: scheduling produced invalid IR: %w", err)
+			return fmt.Errorf("core: scheduling produced invalid IR: %w", err)
 		}
 	}
 	if model == GuardInstr {
 		// Lower after scheduling so run lengths reflect the final order.
 		guardinstr.Lower(p)
-		if err := stage("guard-lowering"); err != nil {
-			return nil, err
+		if err := st.stage("guard-lowering"); err != nil {
+			return err
 		}
 		if err := p.Verify(); err != nil {
-			return nil, fmt.Errorf("core: guard lowering produced invalid IR: %w", err)
+			return fmt.Errorf("core: guard lowering produced invalid IR: %w", err)
 		}
 	}
-	// Unconditional final check: the emitted program must be legal for the
-	// target model (a guard surviving partial conversion or a predicate
-	// define in superblock output is a miscompile, not a debug concern).
-	if diags := irverify.Verify(p, irverify.Options{Pass: "final", Model: verifyModel(model)}); len(diags) > 0 {
-		return nil, fmt.Errorf("core: %v pipeline emitted illegal IR: %w", model, irverify.Error(diags))
+	if err := VerifyEmitted(p, model); err != nil {
+		return err
 	}
 	p.AssignAddresses()
-	return res, nil
+	return nil
 }
 
-// verifyModel maps the pipeline model to the verifier's legality rules.
-func verifyModel(m Model) irverify.Model {
-	switch m {
+// VerifyEmitted is the unconditional final check every emitted listing
+// passes: the program must be legal for the target model (a guard
+// surviving partial conversion or a predicate define in superblock output
+// is a miscompile, not a debug concern).  Schedule runs it on every
+// listing, and the artifact decoder on every listing it reads back.
+func VerifyEmitted(p *ir.Program, model Model) error {
+	rules := irverify.AnyModel
+	switch model {
 	case Superblock:
-		return irverify.Baseline
+		rules = irverify.Baseline
 	case CondMove:
-		return irverify.CondMove
+		rules = irverify.CondMove
 	case FullPred:
-		return irverify.FullPred
+		rules = irverify.FullPred
 	case GuardInstr:
-		return irverify.GuardInstr
+		rules = irverify.GuardInstr
 	}
-	return irverify.AnyModel
+	if diags := irverify.Verify(p, irverify.Options{Pass: "final", Model: rules}); len(diags) > 0 {
+		return fmt.Errorf("core: %v pipeline emitted illegal IR: %w", model, irverify.Error(diags))
+	}
+	return nil
 }
 
 func cleanup(p *ir.Program) {

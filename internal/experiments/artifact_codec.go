@@ -19,12 +19,10 @@ import (
 //
 // The encoding is a one-line JSON header — the artifact's coordinates —
 // followed by asm.Format of the *compiled* (scheduled, predicated)
-// program.  Decoding re-parses the listing and re-runs emu.Decode, so a
-// decoded artifact measures through exactly the same pre-decoded fast
-// path as a freshly compiled one.  Compilation by-products that
-// measurement never reads (hyperblock head sets, the edge profile) are
-// deliberately not serialized: a decoded artifact is for Measure and
-// MeasureAll, not for re-inspection of the compiler pipeline.
+// program.  Decoding re-parses the listing, re-runs the compiler's final
+// legality check for the header's model (core.VerifyEmitted) and then
+// emu.Decode, so a decoded artifact measures through exactly the same
+// pre-decoded fast path as a freshly compiled one.
 
 // artifactHeader is the self-describing first line of an encoded
 // artifact.
@@ -90,6 +88,12 @@ func DecodeArtifact(data []byte) (*CellArtifact, error) {
 	}
 	prog, err := asm.Parse(string(rest))
 	if err != nil {
+		return nil, fmt.Errorf("experiments: artifact listing: %w", err)
+	}
+	// The same final legality check every compiled listing passed: a
+	// listing that parses but is illegal for its header's model (or a
+	// header relabelled over a legal listing) must not be measured.
+	if err := core.VerifyEmitted(prog, model); err != nil {
 		return nil, fmt.Errorf("experiments: artifact listing: %w", err)
 	}
 	// The parser leaves code addresses unassigned; the simulator's

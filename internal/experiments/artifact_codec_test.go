@@ -96,9 +96,13 @@ func TestDecodeArtifactRejects(t *testing.T) {
 		"non-json header": "not-json\n" + listing,
 		"future format":   strings.Replace(header, "\"format\":1", "\"format\":99", 1) + "\n" + listing,
 		"unknown model":   strings.Replace(header, "\"model\":2", "\"model\":42", 1) + "\n" + listing,
-		"unknown target":  strings.Replace(header, "issue8-br1", "issue999", 1) + "\n" + listing,
-		"garbage listing": header + "\nthis is not assembly\n",
-		"empty listing":   header + "\n",
+		// A legal full-predication listing relabelled as superblock code:
+		// it parses, but its predicate defines and guards are illegal
+		// under the baseline rules.
+		"relabelled model": strings.Replace(header, "\"model\":2", "\"model\":0", 1) + "\n" + listing,
+		"unknown target":   strings.Replace(header, "issue8-br1", "issue999", 1) + "\n" + listing,
+		"garbage listing":  header + "\nthis is not assembly\n",
+		"empty listing":    header + "\n",
 	}
 	for name, data := range cases {
 		if data == string(good) {
@@ -108,4 +112,47 @@ func TestDecodeArtifactRejects(t *testing.T) {
 			t.Errorf("%s: decoded to %+v, want error", name, a)
 		}
 	}
+}
+
+// FuzzDecodeArtifact drives arbitrary bytes through the artifact decoder,
+// the path every disk-store record takes back into the daemon.  Decoding
+// must never panic, and an artifact it accepts — a listing that parsed
+// and passed its header model's legality check — must measure: under a
+// small step cap, with cycle accounting on, the only failure allowed is
+// the emulation's own (a trap or the cap).  Seeds are encoded artifacts
+// of the three kernels with the shortest listings, under all four
+// models.
+func FuzzDecodeArtifact(f *testing.F) {
+	for _, kernel := range []string{"qsort", "052.alvinn", "wc"} {
+		for _, model := range []core.Model{core.Superblock, core.CondMove, core.FullPred, core.GuardInstr} {
+			art, err := CompileCell(kernel, model, machine.Issue8Br1())
+			if err != nil {
+				f.Fatal(err)
+			}
+			data, err := EncodeArtifact(art)
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(data)
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		art, err := DecodeArtifact(data)
+		if err != nil {
+			return
+		}
+		// A declared memory of up to the parser's 2^26 words is legal, but
+		// allocating it on every exec would spend the budget in the
+		// allocator: past 2^20 words only the decode is exercised.
+		if art.Compiled.Prog.MemWords > 1<<20 {
+			return
+		}
+		const maxSteps = 1 << 12
+		if art.MaxSteps <= 0 || art.MaxSteps > maxSteps {
+			art.MaxSteps = maxSteps
+		}
+		if _, err := art.MeasureAll(SimsFor(art.Target), true); err != nil && !strings.Contains(err.Error(), ": emulate: ") {
+			t.Fatalf("accepted artifact does not measure: %v", err)
+		}
+	})
 }

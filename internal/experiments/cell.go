@@ -15,9 +15,11 @@ import (
 
 // This file is the exported per-cell surface of the harness: the serving
 // daemon (internal/serve) computes single (kernel, model, machine) cells
-// on demand and caches the compiled artifacts content-addressed, so the
-// compile and measure halves of runCell are exposed as reusable steps.
-// Run measures on the same engine (one sim.Gang per cell), which pins the
+// on demand and caches the compiled artifacts content-addressed, so a
+// cell's compile (core.Compile, the whole pipeline for one target) and
+// its measurement are exposed as reusable steps.  Run schedules from a
+// formation shared per model family, which emits the same listings, and
+// measures on the same engine (one sim.Gang per cell), which pins the
 // served numbers to the ones the figures report.
 
 // SchedTarget maps a simulator configuration to the machine its code is

@@ -11,6 +11,7 @@ package experiments
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -18,6 +19,7 @@ import (
 	"predication/internal/bench"
 	"predication/internal/core"
 	"predication/internal/emu"
+	"predication/internal/ir"
 	"predication/internal/machine"
 	"predication/internal/obs"
 	"predication/internal/sim"
@@ -42,9 +44,12 @@ type BenchResult struct {
 	// mix when the suite ran with Options.Observe; nil otherwise.  Every
 	// account is Verify-checked against its cell's Stats at merge time.
 	Accounts map[Key]*obs.CycleAccount
-	// Pipelines holds the per-compile stage trace when Options.Observe is
+	// Pipelines holds each listing's stage trace when Options.Observe is
 	// set, keyed by model and *scheduling target* name (simulator
-	// configurations sharing scheduled code share the compile).
+	// configurations sharing scheduled code share the compile).  Every
+	// trace lists all the stages its listing went through; formation
+	// records also reported by another cell of the model family are
+	// marked Shared (see obs.PipelineTrace.Inherit).
 	Pipelines map[Key]*obs.PipelineTrace
 }
 
@@ -83,9 +88,9 @@ type Options struct {
 	// Progress, when non-nil, receives one line per completed benchmark.
 	// It may be called from worker goroutines, but never concurrently.
 	Progress func(string)
-	// Parallel bounds the worker pool the kernel × model × target matrix
-	// fans out across: 0 means runtime.GOMAXPROCS(0), 1 forces the
-	// sequential path.
+	// Parallel bounds the worker pool the suite's jobs fan out across —
+	// per kernel, the reference run and one job per model family: 0
+	// means runtime.GOMAXPROCS(0), 1 forces the sequential path.
 	Parallel int
 	// FailFast restores first-error cancellation: the lowest-indexed
 	// failing cell aborts the run and Run returns its error.  The default
@@ -93,9 +98,12 @@ type Options struct {
 	// becomes a CellError in Suite.Errors and a tagged gap in the tables
 	// while every sibling cell completes.
 	FailFast bool
-	// CellTimeout bounds each matrix cell's compile+emulate+simulate work
-	// (0 = unbounded).  An exceeded budget is a TimeoutError for that
-	// cell only.
+	// CellTimeout bounds each step of a family job separately (0 =
+	// unbounded): the family's formation, the derivation of its
+	// conditional-move form, and each cell's scheduling, emulation and
+	// simulation.  An exceeded budget is a TimeoutError for the cells the
+	// step served: the one cell, or every cell of the family (or of the
+	// derived model) whose formation overran.
 	CellTimeout time.Duration
 	// Observe attaches the observability layer to every matrix cell: each
 	// simulated configuration gets a cycle account (BenchResult.Accounts)
@@ -168,6 +176,28 @@ func matrixCells() []cellSpec {
 	return cells
 }
 
+// family is one job's share of a kernel's matrix: consecutive cells (in
+// reporting order) whose code comes from one formed program, the form of
+// their models' core.Model.Family.
+type family struct {
+	base  core.Model
+	cells []int // indices into matrixCells
+}
+
+// families groups the matrix cells into family jobs.
+func families(cells []cellSpec) []family {
+	var fams []family
+	for ci, c := range cells {
+		base := c.model.Family()
+		if n := len(fams); n > 0 && fams[n-1].base == base {
+			fams[n-1].cells = append(fams[n-1].cells, ci)
+			continue
+		}
+		fams = append(fams, family{base, []int{ci}})
+	}
+	return fams
+}
+
 // cellResult is one matrix point's measurements: the stats of every
 // simulator configuration sharing the cell's scheduled code, plus the
 // cell's own checksum (validated against the reference run at merge).
@@ -181,33 +211,120 @@ type cellResult struct {
 	pipeline *obs.PipelineTrace
 }
 
-// cellOpts is the per-cell slice of Options (predictors already
+// cellOpts is the per-job slice of Options (predictors already
 // normalized).
 type cellOpts struct {
 	observe    bool
 	predictors []string
 	windows    []int
+	timeout    time.Duration
+	failFast   bool
 }
 
-// runCell compiles the kernel once for the cell's model and target,
-// emulates the compiled program once, and measures every simulator
-// configuration sharing the scheduled code in that single pass — the
-// compile-once / emulate-once / simulate-many core of the harness.  The
-// trace is never materialized: the emulator's batches stream into a
-// sim.Gang, one lane per configuration.
-func runCell(k *bench.Kernel, cell cellSpec, o cellOpts) (*cellResult, error) {
+// formed is a formed program and, when observing, the trace of the
+// formation stages every listing scheduled from it continues.
+type formed struct {
+	f     *core.Formed
+	trace *obs.PipelineTrace
+}
+
+// newTrace starts a pipeline trace continuing from's stages, or returns
+// nil when the run is not observed.
+func newTrace(o cellOpts, from *obs.PipelineTrace) *obs.PipelineTrace {
+	if !o.observe {
+		return nil
+	}
+	t := obs.NewPipelineTrace()
+	if from != nil {
+		t.Inherit(from)
+	}
+	return t
+}
+
+// runFamily is one family job of Run.  It forms the kernel once for the
+// family and then measures each of the family's cells from that formed
+// program scheduled for the cell's target; the conditional-move cells
+// use the form core.Formed.Derive converts from the fully predicated
+// one.  Formation, derivation and every cell run under the cell fault
+// guard, each with its own CellTimeout budget, and a failed formation or
+// derivation fails every cell that needed it.  Results and errors are in
+// the family's reporting order; under failFast the job skips the cells
+// after its first failing one in that order.
+func runFamily(kernel string, src *ir.Program, cells []cellSpec, fam family, o cellOpts) ([]*cellResult, []error) {
+	res := make([]*cellResult, len(fam.cells))
+	errs := make([]error, len(fam.cells))
+	// Formation never reads the machine; a zero configuration says so.
+	fopts := core.DefaultOptions(machine.Config{})
+	fopts.Pipeline = newTrace(o, nil)
+	base, err := Guard(o.timeout, func() (*formed, error) {
+		f, err := core.Form(src, fam.base, fopts)
+		return &formed{f, fopts.Pipeline}, err
+	})
+	if err != nil {
+		for i := range errs {
+			errs[i] = err
+		}
+		return res, errs
+	}
+
+	// The cells scheduling the base form's own program run first and the
+	// conditional-move cells last, so the base form is dropped once its
+	// conditional-move form is derived: a job holds at most two formed
+	// programs besides the listing it measures.
+	converted := func(i int) bool { return cells[fam.cells[i]].model == core.CondMove }
+	run := inOrder(len(fam.cells))
+	sort.SliceStable(run, func(a, b int) bool { return !converted(run[a]) && converted(run[b]) })
+	failed := len(run) // the first failing cell in reporting order
+	model, cur, curErr := fam.base, base, error(nil)
+	for _, i := range run {
+		if o.failFast && i > failed {
+			continue
+		}
+		cell := cells[fam.cells[i]]
+		if cell.model != model {
+			// A timed-out step's goroutine outlives its turn, so every
+			// closure gets its inputs by value, never the loop's variables.
+			b, dopts := base, fopts
+			dopts.Pipeline = newTrace(o, b.trace)
+			model = cell.model
+			cur, curErr = Guard(o.timeout, func() (*formed, error) {
+				f, err := b.f.Derive(cell.model, dopts)
+				return &formed{f, dopts.Pipeline}, err
+			})
+			if model == core.CondMove {
+				base = nil
+			}
+		}
+		if curErr != nil {
+			errs[i] = curErr
+		} else {
+			f, pipe := cur.f, newTrace(o, cur.trace)
+			res[i], errs[i] = guardCell(o.timeout, func() (*cellResult, error) {
+				return measureCell(kernel, f, pipe, cell, o)
+			})
+		}
+		if errs[i] != nil {
+			failed = min(failed, i)
+		}
+	}
+	return res, errs
+}
+
+// measureCell schedules the formed program for the cell's target,
+// emulates the listing once, and measures every simulator configuration
+// sharing the scheduled code in that single pass — the schedule-once /
+// emulate-once / simulate-many core of the harness.  The trace is never
+// materialized: the emulator's batches stream into a sim.Gang, one lane
+// per configuration.
+func measureCell(kernel string, f *core.Formed, pipe *obs.PipelineTrace, cell cellSpec, o cellOpts) (*cellResult, error) {
 	if CellHook != nil {
-		CellHook(k.Name, cell.model, cell.target.Name)
+		CellHook(kernel, cell.model, cell.target.Name)
 	}
 	copts := core.DefaultOptions(cell.target)
-	var pipe *obs.PipelineTrace
-	if o.observe {
-		pipe = obs.NewPipelineTrace()
-		copts.Pipeline = pipe
-	}
-	c, err := core.Compile(k.Build(), cell.model, copts)
+	copts.Pipeline = pipe
+	c, err := f.Schedule(copts)
 	if err != nil {
-		return nil, fmt.Errorf("%v @ %s: %w", cell.model, cell.target.Name, err)
+		return nil, err
 	}
 	cfgs := simConfigs(cell.target, o.predictors, o.windows)
 	g := sim.NewGang(c.Prog, cfgs)
@@ -221,7 +338,7 @@ func runCell(k *bench.Kernel, cell cellSpec, o cellOpts) (*cellResult, error) {
 	}
 	run, err := emu.Run(c.Prog, emu.Options{Sink: g})
 	if err != nil {
-		return nil, fmt.Errorf("%v @ %s: emulate: %w", cell.model, cell.target.Name, err)
+		return nil, fmt.Errorf("emulate: %w", err)
 	}
 	res := &cellResult{checksum: run.Word(bench.CheckAddr), steps: run.Steps,
 		accounts: accounts, pipeline: pipe}
@@ -231,17 +348,18 @@ func runCell(k *bench.Kernel, cell cellSpec, o cellOpts) (*cellResult, error) {
 	return res, nil
 }
 
-// Run executes the full evaluation.  The kernel × model × target matrix —
-// plus each kernel's uncompiled reference run — fans out across a worker
-// pool of Options.Parallel goroutines; results merge in deterministic
-// reporting order regardless of completion order.
+// Run executes the full evaluation.  Each kernel is built once; its
+// uncompiled reference run and one job per model family (see runFamily)
+// fan out across a worker pool of Options.Parallel goroutines, the
+// largest programs' jobs claimed first, and results merge in
+// deterministic reporting order regardless of completion order.
 //
 // Fault isolation is the default: every cell runs behind a panic guard
 // and the optional Options.CellTimeout, and a failing cell — compile
 // error, trap, panic, timeout, or checksum mismatch — becomes a CellError
 // in Suite.Errors plus a tagged gap in the tables while its siblings
 // complete.  Options.FailFast restores the old first-error cancellation,
-// where the lowest-indexed failing job aborts the run.
+// where the failing cell first in reporting order aborts the run.
 func Run(opts Options) (*Suite, error) {
 	predictors, err := normalizePredictors(opts.Predictors)
 	if err != nil {
@@ -251,7 +369,8 @@ func Run(opts Options) (*Suite, error) {
 	if err != nil {
 		return nil, err
 	}
-	co := cellOpts{observe: opts.Observe, predictors: predictors, windows: windows}
+	co := cellOpts{observe: opts.Observe, predictors: predictors, windows: windows,
+		timeout: opts.CellTimeout, failFast: opts.FailFast}
 	kernels := bench.All()
 	if opts.Kernels != nil {
 		named := make([]*bench.Kernel, 0, len(opts.Kernels))
@@ -265,20 +384,39 @@ func Run(opts Options) (*Suite, error) {
 		kernels = named
 	}
 	cells := matrixCells()
+	fams := families(cells)
 
-	// Flatten to one job list: per kernel, the reference run followed by
-	// every matrix cell.  Job index i maps to kernel i/stride.
+	// One build per kernel: the reference run and the family jobs all read
+	// this program (core.Form clones it).
+	progs := make([]*ir.Program, len(kernels))
+	buildErr := make([]error, len(kernels))
+	size := make([]int, len(kernels)) // static instructions
+	for ki, k := range kernels {
+		progs[ki], buildErr[ki] = Guard(0, func() (*ir.Program, error) { return k.Build(), nil })
+		if buildErr[ki] == nil {
+			size[ki] = progs[ki].NumInstrs()
+		}
+	}
+
+	// Jobs: per kernel, the reference run and then one job per family, so
+	// job order is reporting order.  Results land in per-kernel slots:
+	// the reference's, then one per matrix cell.
+	jobs := 1 + len(fams)
 	stride := 1 + len(cells)
-	n := len(kernels) * stride
 	refSums := make([]int64, len(kernels))
 	refSteps := make([]int64, len(kernels))
 	refOK := make([]bool, len(kernels))
-	cellRes := make([]*cellResult, n)
-	cellErr := make([]*CellError, n)
+	cellRes := make([]*cellResult, len(kernels)*stride)
+	cellErr := make([]*CellError, len(kernels)*stride)
+
+	// Claim the largest programs' jobs first: their formations are the
+	// longest, and started last they would trail the pass.
+	order := inOrder(len(kernels) * jobs)
+	sort.SliceStable(order, func(a, b int) bool { return size[order[a]/jobs] > size[order[b]/jobs] })
 
 	remaining := make([]int32, len(kernels)) // per-kernel jobs outstanding
 	for i := range remaining {
-		remaining[i] = int32(stride)
+		remaining[i] = int32(jobs)
 	}
 	nConfigs := 0
 	for _, cell := range cells {
@@ -286,46 +424,55 @@ func Run(opts Options) (*Suite, error) {
 	}
 	var progressMu sync.Mutex
 
-	err = runJobs(n, opts.Parallel, func(i int) error {
-		ki := i / stride
-		k := kernels[ki]
-		var ce *CellError
-		if i%stride == 0 {
+	err = runJobs(order, opts.Parallel, func(j int) error {
+		ki := j / jobs
+		k, src := kernels[ki], progs[ki]
+		var first *CellError
+		fail := func(slot int, ce *CellError) {
+			if first == nil {
+				first = ce
+			}
+			cellErr[ki*stride+slot] = ce
+		}
+		if j%jobs == 0 {
 			ref, err := guardCell(opts.CellTimeout, func() (*cellResult, error) {
-				r, err := emu.Run(k.Build(), emu.Options{})
+				if buildErr[ki] != nil {
+					return nil, buildErr[ki]
+				}
+				r, err := emu.Run(src, emu.Options{})
 				if err != nil {
 					return nil, err
 				}
 				return &cellResult{checksum: r.Word(bench.CheckAddr), steps: r.Steps}, nil
 			})
 			if err != nil {
-				ce = &CellError{Kernel: k.Name, Ref: true, Err: err}
+				fail(0, &CellError{Kernel: k.Name, Ref: true, Err: err})
 			} else {
 				refSums[ki] = ref.checksum
 				refSteps[ki] = ref.steps
 				refOK[ki] = true
 			}
-		} else {
-			cell := cells[i%stride-1]
-			cr, err := guardCell(opts.CellTimeout, func() (*cellResult, error) {
-				return runCell(k, cell, co)
-			})
-			if err != nil {
-				ce = &CellError{Kernel: k.Name, Model: cell.model, Target: cell.target.Name, Err: err}
-			} else {
-				cellRes[i] = cr
+		} else if buildErr[ki] == nil { // else the reference reports the kernel
+			fam := fams[j%jobs-1]
+			res, errs := runFamily(k.Name, src, cells, fam, co)
+			for i, ci := range fam.cells {
+				if errs[i] != nil {
+					fail(1+ci, &CellError{Kernel: k.Name, Model: cells[ci].model, Target: cells[ci].target.Name, Err: errs[i]})
+				} else {
+					cellRes[ki*stride+1+ci] = res[i]
+				}
 			}
 		}
-		if ce != nil {
-			if opts.FailFast {
-				return ce
-			}
-			cellErr[i] = ce
+		if first != nil && opts.FailFast {
+			return first
 		}
-		if opts.Progress != nil && atomic.AddInt32(&remaining[ki], -1) == 0 {
-			progressMu.Lock()
-			opts.Progress(fmt.Sprintf("%-14s done (%d configurations)", k.Name, nConfigs))
-			progressMu.Unlock()
+		if atomic.AddInt32(&remaining[ki], -1) == 0 {
+			progs[ki] = nil // the kernel's last job is done with its program
+			if opts.Progress != nil {
+				progressMu.Lock()
+				opts.Progress(fmt.Sprintf("%-14s done (%d configurations)", k.Name, nConfigs))
+				progressMu.Unlock()
+			}
 		}
 		return nil
 	})
@@ -418,46 +565,6 @@ func Run(opts Options) (*Suite, error) {
 		}
 	}
 	return suite, nil
-}
-
-// RunBenchmark measures one kernel across all models and configurations,
-// fanning its matrix cells out across the worker pool.
-func RunBenchmark(k *bench.Kernel) (*BenchResult, error) {
-	res := &BenchResult{Name: k.Name, Stats: map[Key]sim.Stats{}}
-	cells := matrixCells()
-	cellRes := make([]*cellResult, len(cells))
-
-	err := runJobs(1+len(cells), 0, func(i int) error {
-		if i == 0 {
-			ref, err := emu.Run(k.Build(), emu.Options{})
-			if err != nil {
-				return fmt.Errorf("reference run: %w", err)
-			}
-			res.Checksum = ref.Word(bench.CheckAddr)
-			return nil
-		}
-		cr, err := runCell(k, cells[i-1], cellOpts{predictors: Predictors[:1], windows: []int{0}})
-		if err != nil {
-			return err
-		}
-		cellRes[i-1] = cr
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	for ci, cell := range cells {
-		cr := cellRes[ci]
-		if cr.checksum != res.Checksum {
-			return nil, fmt.Errorf("%v @ %s: checksum mismatch %#x != %#x",
-				cell.model, cell.target.Name, cr.checksum, res.Checksum)
-		}
-		for si, sc := range SimsFor(cell.target) {
-			res.Stats[Key{cell.model, sc.Name}] = cr.stats[si]
-		}
-	}
-	return res, nil
 }
 
 // speedupBase names the 1-issue baseline configuration whose cycle count

@@ -2,7 +2,9 @@ package experiments
 
 import (
 	"errors"
+	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -153,5 +155,38 @@ func TestKernelWideFaults(t *testing.T) {
 	}
 	if len(s.Results[1].Stats) == 0 {
 		t.Errorf("healthy kernel lost its row")
+	}
+}
+
+// TestFormationFaultFailsFamily: a model family's cells share one
+// formation, so when it fails — here by overrunning a 1ns budget — every
+// cell of the family becomes a CellError with its own coordinates, and
+// none of them runs.
+func TestFormationFaultFailsFamily(t *testing.T) {
+	var ran atomic.Int32
+	withCellHook(t, func(string, core.Model, string) { ran.Add(1) })
+	s, err := Run(Options{Kernels: []string{"wc"}, CellTimeout: time.Nanosecond})
+	if err != nil {
+		t.Fatalf("fault-isolated run returned error: %v", err)
+	}
+	var got, want []string
+	for _, cell := range matrixCells() {
+		want = append(want, fmt.Sprintf("wc %v @ %s", cell.model, cell.target.Name))
+	}
+	for _, ce := range s.Errors {
+		if ce.Ref {
+			continue
+		}
+		var te *TimeoutError
+		if !errors.As(ce, &te) {
+			t.Errorf("%v: want a TimeoutError", ce)
+		}
+		got = append(got, fmt.Sprintf("%s %v @ %s", ce.Kernel, ce.Model, ce.Target))
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("cell errors %q, want %q", got, want)
+	}
+	if n := ran.Load(); n != 0 {
+		t.Errorf("%d cells ran after their formation failed", n)
 	}
 }

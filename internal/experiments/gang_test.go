@@ -9,10 +9,16 @@ import (
 
 // TestGangMatchesPerConfig pins the harness's single-pass cells: every
 // Stats a suite run reports — each cell's configurations priced by one
-// gang over one emulation — equals a separate one-lane measurement of the
-// same compiled artifact per configuration.
+// gang over one emulation, its code scheduled from a formation shared by
+// its model family — equals a separate one-lane measurement of an
+// independent CompileCell artifact per configuration.  Outside -short it
+// includes eqn, the kernel with the most hyperblocks.
 func TestGangMatchesPerConfig(t *testing.T) {
-	suite, err := Run(Options{Kernels: []string{"wc", "grep", "qsort"}})
+	kernels := []string{"wc", "grep", "qsort"}
+	if !testing.Short() {
+		kernels = append(kernels, "eqn")
+	}
+	suite, err := Run(Options{Kernels: kernels})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,5 +145,38 @@ func TestMeasureAll(t *testing.T) {
 	}
 	if _, err := art.MeasureAll(nil, false); err == nil {
 		t.Error("MeasureAll accepted an empty configuration list")
+	}
+}
+
+// TestZeroCycleMissAccounting: machine.Validate accepts a cache whose
+// misses cost nothing, and the cycle account of such a run must still
+// sum to its cycles.  A zero-cycle instruction-cache miss used to become
+// the binding fetch constraint with no cycles charged, and the issue
+// cycle taken back from it left the icache_miss count at -1.  Both
+// caches are checked on the cells that showed it, in order and in a
+// 32-entry window.
+func TestZeroCycleMissAccounting(t *testing.T) {
+	for _, which := range []string{"icache", "dcache"} {
+		cfg := machine.Issue8Br1Cache()
+		if which == "icache" {
+			cfg.ICache.MissCycles = 0
+		} else {
+			cfg.DCache.MissCycles = 0
+		}
+		if err := cfg.Validate(); err != nil {
+			t.Fatalf("%s: %v", which, err)
+		}
+		cfgs := []machine.Config{cfg, applyWindow(cfg, 32, false)}
+		for _, kernel := range []string{"023.eqntott", "grep", "wc"} {
+			for _, model := range Models {
+				art, err := CompileCell(kernel, model, machine.Issue8Br1())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := art.MeasureAll(cfgs, true); err != nil {
+					t.Errorf("zero-cycle %s miss: %v", which, err)
+				}
+			}
+		}
 	}
 }

@@ -2,9 +2,12 @@ package experiments
 
 import (
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 
+	"predication/internal/bench"
+	"predication/internal/core"
 	"predication/internal/obs"
 )
 
@@ -46,11 +49,7 @@ func TestRunObserve(t *testing.T) {
 				t.Errorf("%s %v: %v", r.Name, key, err)
 			}
 		}
-		for key, pt := range r.Pipelines {
-			if len(pt.Stages) == 0 {
-				t.Errorf("%s %v: empty pipeline trace", r.Name, key)
-			}
-		}
+		checkSharedTraces(t, r)
 	}
 
 	snap := reg.Snapshot()
@@ -82,4 +81,69 @@ func TestRunObserve(t *testing.T) {
 	if len(it.Rows) != len(suite.Results) {
 		t.Errorf("IPC table has %d rows for %d results", len(it.Rows), len(suite.Results))
 	}
+}
+
+// checkSharedTraces holds one kernel's pipeline traces to their two
+// promises.  Each cell's trace lists every stage its listing went
+// through, exactly the stages a standalone core.Compile of the cell
+// records.  And the records not marked shared count each stage execution
+// once: the formation stages once per model family, the conversion to
+// conditional moves once, scheduling once per cell, so summing them gives
+// the compile time actually spent.
+func checkSharedTraces(t *testing.T, r *BenchResult) {
+	t.Helper()
+	k, err := bench.ByName(r.Name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells := matrixCells()
+	if len(r.Pipelines) != len(cells) {
+		t.Errorf("%s: %d pipeline traces for %d cells", r.Name, len(r.Pipelines), len(cells))
+	}
+	unshared := map[string]int{}
+	for _, cell := range cells {
+		pt := r.Pipelines[Key{cell.model, cell.target.Name}]
+		if pt == nil {
+			t.Errorf("%s %v @ %s: no pipeline trace", r.Name, cell.model, cell.target.Name)
+			continue
+		}
+		opts := core.DefaultOptions(cell.target)
+		opts.Pipeline = obs.NewPipelineTrace()
+		if _, err := core.Compile(k.Build(), cell.model, opts); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := stageNames(pt), stageNames(opts.Pipeline); got != want {
+			t.Errorf("%s %v @ %s: trace stages %s, a standalone compile records %s",
+				r.Name, cell.model, cell.target.Name, got, want)
+		}
+		if fmt.Sprint(pt.HyperblockSizes) != fmt.Sprint(opts.Pipeline.HyperblockSizes) {
+			t.Errorf("%s %v @ %s: hyperblock sizes differ from a standalone compile", r.Name, cell.model, cell.target.Name)
+		}
+		for i, st := range pt.Stages {
+			if !st.Shared {
+				unshared[st.Stage]++
+			} else if i > 0 && !pt.Stages[i-1].Shared {
+				t.Errorf("%s %v @ %s: shared %s follows an unshared stage", r.Name, cell.model, cell.target.Name, st.Stage)
+			}
+		}
+	}
+	want := map[string]int{
+		"normalize": 2, "profile": 2, // one formation per family
+		"superblock-formation": 1, "cleanup": 1,
+		"hyperblock-formation": 1, "promotion": 1, "branch-combining": 1,
+		"partial-conversion": 1, "peephole": 1, // one derived cmov form
+		"schedule": len(cells),
+	}
+	if fmt.Sprint(unshared) != fmt.Sprint(want) {
+		t.Errorf("%s: unshared stage records %v, want %v", r.Name, unshared, want)
+	}
+}
+
+// stageNames lists a trace's stages, for comparison.
+func stageNames(pt *obs.PipelineTrace) string {
+	var names []string
+	for _, st := range pt.Stages {
+		names = append(names, st.Stage)
+	}
+	return strings.Join(names, ",")
 }

@@ -177,10 +177,6 @@ func (in *Instr) PredDefs(dst []PReg) []PReg {
 	return dst
 }
 
-// IsExit reports whether the instruction leaves the current function or
-// program.
-func (in *Instr) IsExit() bool { return in.Op == Ret || in.Op == Halt }
-
 // Guarded reports whether the instruction carries a real guard predicate.
 func (in *Instr) Guarded() bool { return in.Guard != PNone }
 

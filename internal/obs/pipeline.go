@@ -81,19 +81,26 @@ type StageRecord struct {
 	// in pipeline order.
 	WallSeconds float64 `json:"wall_seconds"`
 	IR          IRStats `json:"ir"`
+	// Shared marks a record copied from a formation another trace already
+	// reports: the stage ran once for several listings (one formed
+	// program scheduled per target), so only its unshared copy counts
+	// toward the compile time spent.
+	Shared bool `json:"shared,omitempty"`
 }
 
 // PipelineTrace records the per-stage progression of one compile.  Attach
 // one via core.Options.Pipeline; core.Compile records after every stage it
 // runs, so the stage list varies by model (partial-conversion only appears
-// under the conditional-move pipeline, and so on).
+// under the conditional-move pipeline, and so on).  A listing scheduled
+// from a shared formed program starts its trace with Inherit.
 type PipelineTrace struct {
 	Stages []StageRecord `json:"stages"`
 	// HyperblockSizes lists the instruction count of every hyperblock head
 	// block at formation time (empty for the superblock model).
 	HyperblockSizes []int `json:"hyperblock_sizes,omitempty"`
 
-	last time.Time
+	last   time.Time
+	handed bool // Inherit has copied this trace before
 }
 
 // NewPipelineTrace creates a trace whose first stage is timed from now.
@@ -110,6 +117,20 @@ func (t *PipelineTrace) Record(stage string, p *ir.Program) {
 		IR:          SnapshotIR(p),
 	})
 	t.last = now
+}
+
+// Inherit appends the records and hyperblock sizes of from, the trace of
+// the formation this trace's listing continues.  The first trace to
+// inherit from a formation takes its records as they are; every later one
+// gets them marked Shared, so the unshared records of all the traces sum
+// to the compile time actually spent.
+func (t *PipelineTrace) Inherit(from *PipelineTrace) {
+	for _, st := range from.Stages {
+		st.Shared = st.Shared || from.handed
+		t.Stages = append(t.Stages, st)
+	}
+	t.HyperblockSizes = append(t.HyperblockSizes, from.HyperblockSizes...)
+	from.handed = true
 }
 
 // Delta returns stage i's IR change relative to the previous stage (the

@@ -258,9 +258,6 @@ func outcomeRows(n int) [][]uint8 {
 	return rows
 }
 
-// Lanes returns the number of configurations stepping together.
-func (g *Gang) Lanes() int { return len(g.lanes) }
-
 // Config returns lane i's machine configuration.
 func (g *Gang) Config(i int) machine.Config { return g.lanes[i].cfg }
 
@@ -505,7 +502,10 @@ func laneReplay[M laneMode](l *gangLane, code []simInstr, evs []emu.Event, icOut
 		if icOut != nil && icOut[i] == outMiss {
 			t += icMiss
 			fetchAvail = t
-			if observe {
+			// A miss that costs nothing delays nothing: charging its zero
+			// cycles would make it the binding constraint, and attribute
+			// would take the issue cycle back from it.
+			if observe && icMiss > 0 {
 				fetchCause = obs.CauseICache
 				at.charge(obs.CauseICache, icMiss)
 			}
