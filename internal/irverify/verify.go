@@ -227,8 +227,14 @@ func (v *verifier) add(d Diagnostic) {
 	v.diags = append(v.diags, d)
 }
 
-func (v *verifier) fn(fi int, f *ir.Func) {
-	at := func(b *ir.Block, i int, code Code, format string, args ...any) {
+// reporter records one diagnostic at a location of the function under
+// verification: b is nil for function-level diagnostics, i is -1 for
+// block-level ones.
+type reporter func(b *ir.Block, i int, code Code, format string, args ...any)
+
+// reporterFor returns the reporter for function fi.
+func (v *verifier) reporterFor(fi int, f *ir.Func) reporter {
+	return func(b *ir.Block, i int, code Code, format string, args ...any) {
 		d := Diagnostic{Code: code, Func: fi, FuncName: f.Name, Block: -1, Index: -1,
 			Msg: fmt.Sprintf(format, args...)}
 		if b != nil {
@@ -240,6 +246,10 @@ func (v *verifier) fn(fi int, f *ir.Func) {
 		}
 		v.add(d)
 	}
+}
+
+func (v *verifier) fn(fi int, f *ir.Func) {
+	at := v.reporterFor(fi, f)
 	if f.Entry < 0 || f.Entry >= len(f.Blocks) || f.Blocks[f.Entry] == nil || f.Blocks[f.Entry].Dead {
 		at(nil, -1, EntryInvalid, "entry block B%d missing or dead", f.Entry)
 		return
@@ -283,8 +293,7 @@ func (v *verifier) fn(fi int, f *ir.Func) {
 }
 
 // instr checks one instruction's structural and model-legality rules.
-func (v *verifier) instr(f *ir.Func, b *ir.Block, i int, in *ir.Instr,
-	at func(b *ir.Block, i int, code Code, format string, args ...any)) {
+func (v *verifier) instr(f *ir.Func, b *ir.Block, i int, in *ir.Instr, at reporter) {
 	live := func(id int) bool {
 		return id >= 0 && id < len(f.Blocks) && f.Blocks[id] != nil && !f.Blocks[id].Dead
 	}
@@ -364,8 +373,7 @@ func (v *verifier) instr(f *ir.Func, b *ir.Block, i int, in *ir.Instr,
 // accumulation targets must be cleared by a pred_clear in the same
 // function, AND-type targets set by a pred_set, and a single define must
 // not write one register through both destination slots.
-func (v *verifier) defineTypes(f *ir.Func,
-	at func(b *ir.Block, i int, code Code, format string, args ...any)) {
+func (v *verifier) defineTypes(f *ir.Func, at reporter) {
 	hasClear, hasSet := false, false
 	type site struct {
 		b *ir.Block
@@ -410,33 +418,6 @@ func (v *verifier) defineTypes(f *ir.Func,
 	}
 }
 
-// regSet is a bitset over one function's virtual registers.
-type regSet []uint64
-
-func newRegSet(n int) regSet { return make(regSet, (n+63)/64) }
-
-func (s regSet) has(r int) bool { return s[r/64]&(1<<uint(r%64)) != 0 }
-func (s regSet) set(r int)      { s[r/64] |= 1 << uint(r%64) }
-func (s regSet) setAll() {
-	for i := range s {
-		s[i] = ^uint64(0)
-	}
-}
-
-// union folds o into s, reporting whether s changed.
-func (s regSet) union(o regSet) bool {
-	changed := false
-	for i := range s {
-		if n := s[i] | o[i]; n != s[i] {
-			s[i] = n
-			changed = true
-		}
-	}
-	return changed
-}
-
-func (s regSet) clone() regSet { return append(regSet(nil), s...) }
-
 // defBeforeUse runs a forward may-reach definition analysis over both
 // register files and flags reads with no reaching definition on any path —
 // the signature of a pass that dropped or reordered a definition.
@@ -447,8 +428,15 @@ func (s regSet) clone() regSet { return append(regSet(nil), s...) }
 // the conditional self-read of cmov/cmov_com (the commit idiom reads a
 // destination that may have no earlier definition), and anything in a
 // function whose registers are out of range (already diagnosed).
-func (v *verifier) defBeforeUse(f *ir.Func,
-	at func(b *ir.Block, i int, code Code, format string, args ...any)) {
+//
+// A read can fail only if its block has not defined the register before
+// it (the read is upward-exposed), so the dataflow ranges over the
+// registers and predicates upward-exposed in some block alone — registers
+// first, then predicates — the restriction cfg.ComputeLiveness makes.
+// Formation leaves thousands of registers that live inside one block;
+// with the per-block sets in one flat array, the pass is linear in the
+// listing.
+func (v *verifier) defBeforeUse(f *ir.Func, at reporter) {
 	nReg, nPreg := int(f.NextReg), int(f.NextPReg)
 	if nReg <= 0 || nPreg <= 0 {
 		return
@@ -457,114 +445,215 @@ func (v *verifier) defBeforeUse(f *ir.Func,
 	if len(blocks) == 0 {
 		return
 	}
+	d := numberExposed(blocks, nReg, nPreg)
+	w := len(d.allPreds)
+	if w == 0 {
+		return // every read follows a definition in its own block
+	}
 
-	// Predecessor lists over live blocks.
-	preds := map[int][]int{}
-	for _, b := range blocks {
-		for _, s := range b.Succs(nil) {
-			if s >= 0 && s < len(f.Blocks) && f.Blocks[s] != nil && !f.Blocks[s].Dead {
-				preds[s] = append(preds[s], b.ID)
+	// gen[k] is block k's definitions in the index space (out = in | gen:
+	// a may analysis never kills), in[k] the union of its predecessors'
+	// outs.  Block k's sets are words [k*w, (k+1)*w).
+	pos := make([]int32, len(f.Blocks)) // block ID -> position in blocks
+	for i := range pos {
+		pos[i] = -1
+	}
+	for k, b := range blocks {
+		pos[b.ID] = int32(k)
+	}
+	gen := make([]uint64, len(blocks)*w)
+	in := make([]uint64, len(blocks)*w)
+	for k, b := range blocks {
+		g := gen[k*w : (k+1)*w]
+		for _, ins := range b.Instrs {
+			if ins != nil {
+				d.define(ins, g)
 			}
 		}
 	}
-
-	// transfer applies one block's definitions to the running sets.
-	transfer := func(b *ir.Block, regs, pregs regSet) {
-		for _, in := range b.Instrs {
-			if in == nil {
-				continue
+	// Predecessor lists over live blocks, flattened: block k's
+	// predecessors are preds[start[k]:start[k+1]].
+	start := make([]int32, len(blocks)+1)
+	var succs []int
+	for _, b := range blocks {
+		succs = b.Succs(succs[:0])
+		for _, s := range succs {
+			if s >= 0 && s < len(pos) && pos[s] >= 0 {
+				start[pos[s]+1]++
 			}
-			switch in.Op {
-			case ir.PredClear, ir.PredSet:
-				pregs.setAll()
-			case ir.PredDef:
-				for _, pd := range []ir.PredDest{in.P1, in.P2} {
-					if pd.Type != ir.PredNone && pd.P != ir.PNone && int(pd.P) < nPreg {
-						pregs.set(int(pd.P))
-					}
-				}
-			}
-			if d := in.DefReg(); d != ir.RNone && int(d) < nReg {
-				regs.set(int(d))
+		}
+	}
+	for k := range blocks {
+		start[k+1] += start[k]
+	}
+	preds := make([]int32, start[len(blocks)])
+	fill := append([]int32(nil), start[:len(blocks)]...)
+	for k, b := range blocks {
+		succs = b.Succs(succs[:0])
+		for _, s := range succs {
+			if s >= 0 && s < len(pos) && pos[s] >= 0 {
+				preds[fill[pos[s]]] = int32(k)
+				fill[pos[s]]++
 			}
 		}
 	}
 
 	// Iterate to fixpoint: in[b] = union of out[pred]; entry starts empty.
-	type state struct{ regs, pregs regSet }
-	in := map[int]*state{}
-	out := map[int]*state{}
-	for _, b := range blocks {
-		in[b.ID] = &state{newRegSet(nReg), newRegSet(nPreg)}
-		out[b.ID] = &state{newRegSet(nReg), newRegSet(nPreg)}
-	}
 	for changed := true; changed; {
 		changed = false
-		for _, b := range blocks {
-			s := in[b.ID]
-			for _, p := range preds[b.ID] {
-				if s.regs.union(out[p].regs) {
-					changed = true
+		for k := range blocks {
+			dst := in[k*w : (k+1)*w]
+			for _, p := range preds[start[k]:start[k+1]] {
+				pin, pgen := in[int(p)*w:int(p+1)*w], gen[int(p)*w:int(p+1)*w]
+				for j := range dst {
+					if n := dst[j] | pin[j] | pgen[j]; n != dst[j] {
+						dst[j] = n
+						changed = true
+					}
 				}
-				if s.pregs.union(out[p].pregs) {
-					changed = true
-				}
-			}
-			regs, pregs := s.regs.clone(), s.pregs.clone()
-			transfer(b, regs, pregs)
-			if out[b.ID].regs.union(regs) {
-				changed = true
-			}
-			if out[b.ID].pregs.union(pregs) {
-				changed = true
 			}
 		}
 	}
 
-	// Report pass: walk each block with the running sets, checking reads
+	// Report pass: walk each block with the running set, checking reads
 	// before applying the instruction's definitions.
+	cur := make([]uint64, w)
 	var srcBuf [4]ir.Reg
-	for _, b := range blocks {
-		regs := in[b.ID].regs.clone()
-		pregs := in[b.ID].pregs.clone()
-		for i, in := range b.Instrs {
+	for k, b := range blocks {
+		copy(cur, in[k*w:(k+1)*w])
+		for i, ins := range b.Instrs {
+			if ins == nil {
+				continue
+			}
+			if g := ins.Guard; g != ir.PNone && uint(g) < uint(nPreg) {
+				if x := d.predIx[g]; x >= 0 && !has(cur, d.nRegs+int(x)) {
+					at(b, i, UseBeforeDef, "guard %s has no reaching definition", g)
+				}
+			}
+			for _, r := range readRegs(ins, srcBuf[:0]) {
+				if uint(r) < uint(nReg) {
+					if x := d.regIx[r]; x >= 0 && !has(cur, int(x)) {
+						at(b, i, UseBeforeDef, "source %s has no reaching definition", r)
+					}
+				}
+			}
+			d.define(ins, cur)
+		}
+	}
+}
+
+// readRegs appends the registers defBeforeUse checks an instruction
+// reads: its sources, except the conditional self-read of cmov/cmov_com.
+func readRegs(in *ir.Instr, dst []ir.Reg) []ir.Reg {
+	if !in.ConditionalDef() {
+		return in.SrcRegs(dst)
+	}
+	if in.A.IsReg() {
+		dst = append(dst, in.A.R)
+	}
+	if in.C.IsReg() {
+		dst = append(dst, in.C.R)
+	}
+	return dst
+}
+
+func has(s []uint64, i int) bool { return s[i/64]&(1<<uint(i%64)) != 0 }
+func set(s []uint64, i int)      { s[i/64] |= 1 << uint(i%64) }
+
+// exposed numbers the registers and predicates some block reads before
+// defining them: regIx and predIx map a register to its index (-1 when
+// no read of it is upward-exposed); predicate indexes follow the nRegs
+// register indexes in a set.
+type exposed struct {
+	regIx, predIx []int32
+	nRegs, nPreds int
+	allPreds      []uint64 // every predicate index: a pred_clear's definitions
+}
+
+// numberExposed walks each block forward, stamping every definition with
+// the block's position, so a read is upward-exposed when its register
+// carries no stamp of the current block.  Reads happen before writes
+// within one instruction, and a pred_clear or pred_set defines every
+// predicate.
+func numberExposed(blocks []*ir.Block, nReg, nPreg int) *exposed {
+	d := &exposed{regIx: make([]int32, nReg), predIx: make([]int32, nPreg)}
+	// The index arrays double as stamps until numbering: a definition
+	// stores -(position+1), an upward-exposed read 1.
+	rstamp, pstamp := d.regIx, d.predIx
+	var srcBuf [4]ir.Reg
+	for k, b := range blocks {
+		stamp := int32(-(k + 1))
+		allPreds := false
+		for _, in := range b.Instrs {
 			if in == nil {
 				continue
 			}
-			if in.Guard != ir.PNone && int(in.Guard) < nPreg && !pregs.has(int(in.Guard)) {
-				at(b, i, UseBeforeDef, "guard %s has no reaching definition", in.Guard)
+			if g := in.Guard; g != ir.PNone && uint(g) < uint(nPreg) && !allPreds && pstamp[g] != stamp {
+				pstamp[g] = 1
 			}
-			var uses []ir.Reg
-			if in.ConditionalDef() {
-				// cmov/cmov_com: check A and C but not the conditional
-				// self-read of the destination.
-				if in.A.IsReg() {
-					uses = append(uses, in.A.R)
-				}
-				if in.C.IsReg() {
-					uses = append(uses, in.C.R)
-				}
-			} else {
-				uses = in.SrcRegs(srcBuf[:0])
-			}
-			for _, r := range uses {
-				if int(r) < nReg && !regs.has(int(r)) {
-					at(b, i, UseBeforeDef, "source %s has no reaching definition", r)
+			for _, r := range readRegs(in, srcBuf[:0]) {
+				if uint(r) < uint(nReg) && rstamp[r] != stamp {
+					rstamp[r] = 1
 				}
 			}
 			switch in.Op {
 			case ir.PredClear, ir.PredSet:
-				pregs.setAll()
+				allPreds = true
 			case ir.PredDef:
-				for _, pd := range []ir.PredDest{in.P1, in.P2} {
-					if pd.Type != ir.PredNone && pd.P != ir.PNone && int(pd.P) < nPreg {
-						pregs.set(int(pd.P))
+				for _, pd := range [2]ir.PredDest{in.P1, in.P2} {
+					if pd.Type != ir.PredNone && pd.P != ir.PNone && uint(pd.P) < uint(nPreg) && pstamp[pd.P] != 1 {
+						pstamp[pd.P] = stamp
 					}
 				}
 			}
-			if d := in.DefReg(); d != ir.RNone && int(d) < nReg {
-				regs.set(int(d))
+			if r := in.DefReg(); r != ir.RNone && uint(r) < uint(nReg) && rstamp[r] != 1 {
+				rstamp[r] = stamp
 			}
+		}
+	}
+	for r, s := range rstamp {
+		if s == 1 {
+			rstamp[r] = int32(d.nRegs)
+			d.nRegs++
+		} else {
+			rstamp[r] = -1
+		}
+	}
+	for p, s := range pstamp {
+		if s == 1 {
+			pstamp[p] = int32(d.nPreds)
+			d.nPreds++
+		} else {
+			pstamp[p] = -1
+		}
+	}
+	d.allPreds = make([]uint64, (d.nRegs+d.nPreds+63)/64)
+	for x := 0; x < d.nPreds; x++ {
+		set(d.allPreds, d.nRegs+x)
+	}
+	return d
+}
+
+// define applies one instruction's definitions to a set in the index
+// space.
+func (d *exposed) define(in *ir.Instr, s []uint64) {
+	switch in.Op {
+	case ir.PredClear, ir.PredSet:
+		for j, m := range d.allPreds {
+			s[j] |= m
+		}
+	case ir.PredDef:
+		for _, pd := range [2]ir.PredDest{in.P1, in.P2} {
+			if pd.Type != ir.PredNone && pd.P != ir.PNone && uint(pd.P) < uint(len(d.predIx)) {
+				if x := d.predIx[pd.P]; x >= 0 {
+					set(s, d.nRegs+int(x))
+				}
+			}
+		}
+	}
+	if r := in.DefReg(); r != ir.RNone && uint(r) < uint(len(d.regIx)) {
+		if x := d.regIx[r]; x >= 0 {
+			set(s, int(x))
 		}
 	}
 }
