@@ -23,6 +23,7 @@ package asm
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -30,10 +31,24 @@ import (
 )
 
 // Format renders the program as parseable text.
-func Format(p *ir.Program) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, ".mem %d\n", p.MemWords)
-	fmt.Fprintf(&sb, ".entry %d\n", p.Entry)
+func Format(p *ir.Program) string { return string(AppendFormat(nil, p)) }
+
+// AppendFormat appends Format's text to dst and returns the extended
+// slice.  The listing renders into the one buffer: no per-instruction or
+// per-word formatting call, and no intermediate strings.
+func AppendFormat(dst []byte, p *ir.Program) []byte {
+	size := 32 + 8*len(p.Data)
+	for _, f := range p.Funcs {
+		for _, b := range f.Blocks {
+			if b != nil {
+				size += 16 + 24*len(b.Instrs)
+			}
+		}
+	}
+	dst = slices.Grow(dst, size)
+	dst = strconv.AppendInt(append(dst, ".mem "...), int64(p.MemWords), 10)
+	dst = strconv.AppendInt(append(dst, "\n.entry "...), int64(p.Entry), 10)
+	dst = append(dst, '\n')
 	// Data in runs of nonzero words.
 	i := 0
 	for i < len(p.Data) {
@@ -41,37 +56,46 @@ func Format(p *ir.Program) string {
 			i++
 			continue
 		}
-		j := i
-		for j < len(p.Data) && p.Data[j] != 0 {
-			j++
+		dst = strconv.AppendInt(append(dst, ".data "...), int64(i), 10)
+		dst = append(dst, ':')
+		for ; i < len(p.Data) && p.Data[i] != 0; i++ {
+			dst = strconv.AppendInt(append(dst, ' '), p.Data[i], 10)
 		}
-		fmt.Fprintf(&sb, ".data %d:", i)
-		for _, v := range p.Data[i:j] {
-			fmt.Fprintf(&sb, " %d", v)
-		}
-		sb.WriteByte('\n')
-		i = j
+		dst = append(dst, '\n')
 	}
 	for fi, f := range p.Funcs {
-		fmt.Fprintf(&sb, "func F%d %s:\n", fi, f.Name)
+		dst = strconv.AppendInt(append(dst, "func F"...), int64(fi), 10)
+		dst = append(append(append(dst, ' '), f.Name...), ":\n"...)
 		if f.Entry != 0 {
-			fmt.Fprintf(&sb, ".fentry %d\n", f.Entry)
+			dst = strconv.AppendInt(append(dst, ".fentry "...), int64(f.Entry), 10)
+			dst = append(dst, '\n')
 		}
-		for _, b := range f.LiveBlocks(nil) {
-			if b.Name != "" {
-				fmt.Fprintf(&sb, "B%d: ; %s\n", b.ID, b.Name)
-			} else {
-				fmt.Fprintf(&sb, "B%d:\n", b.ID)
+		for _, b := range f.Blocks {
+			if b == nil || b.Dead {
+				continue
 			}
+			dst = strconv.AppendInt(append(dst, 'B'), int64(b.ID), 10)
+			dst = append(dst, ':')
+			if b.Name != "" {
+				dst = append(append(dst, " ; "...), b.Name...)
+			}
+			dst = append(dst, '\n')
 			for _, in := range b.Instrs {
-				fmt.Fprintf(&sb, "\t%s\n", in)
+				dst = append(dst, '\t')
+				if in == nil {
+					dst = append(dst, "<nil>"...) // as fmt renders a nil *ir.Instr
+				} else {
+					dst = in.AppendTo(dst)
+				}
+				dst = append(dst, '\n')
 			}
 			if !b.EndsUnconditionally() && b.Fall >= 0 {
-				fmt.Fprintf(&sb, "\t; fall B%d\n", b.Fall)
+				dst = strconv.AppendInt(append(dst, "\t; fall B"...), int64(b.Fall), 10)
+				dst = append(dst, '\n')
 			}
 		}
 	}
-	return sb.String()
+	return dst
 }
 
 // opTable maps mnemonics (without the _s silent suffix) to opcodes for

@@ -51,11 +51,7 @@ func EncodeArtifact(a *CellArtifact) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	var buf bytes.Buffer
-	buf.Write(hdr)
-	buf.WriteByte('\n')
-	buf.WriteString(asm.Format(a.Compiled.Prog))
-	return buf.Bytes(), nil
+	return asm.AppendFormat(append(hdr, '\n'), a.Compiled.Prog), nil
 }
 
 // DecodeArtifact reconstructs a measurable artifact from EncodeArtifact

@@ -1,6 +1,9 @@
 package ir
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // Reg names a virtual integer/floating-point register.  RNone (0) denotes
 // "no register".  The paper assumes an infinite register file; virtual
@@ -11,11 +14,13 @@ type Reg int32
 const RNone Reg = 0
 
 // String returns the assembly name of the register.
-func (r Reg) String() string {
+func (r Reg) String() string { return string(r.appendTo(nil)) }
+
+func (r Reg) appendTo(dst []byte) []byte {
 	if r == RNone {
-		return "r_none"
+		return append(dst, "r_none"...)
 	}
-	return fmt.Sprintf("r%d", int32(r))
+	return strconv.AppendInt(append(dst, 'r'), int64(r), 10)
 }
 
 // Operand is an instruction source: either a register or an immediate.
@@ -185,50 +190,101 @@ func (in *Instr) Guarded() bool { return in.Guard != PNone }
 //	pred_eq p1_OR, p3_U~, r4, 0 (p2)
 //	add r7, r7, 1 (p3)
 //	blt r2, r3, B5
-func (in *Instr) String() string {
-	guard := ""
-	if in.Guard != PNone {
-		guard = fmt.Sprintf(" (%s)", in.Guard)
-	}
-	silent := ""
-	if in.Silent {
-		silent = "_s"
-	}
+func (in *Instr) String() string { return string(in.AppendTo(nil)) }
+
+// AppendTo appends the instruction's String form to dst and returns the
+// extended slice, so a listing renders into one buffer (asm.Format).
+func (in *Instr) AppendTo(dst []byte) []byte {
 	switch in.Op {
 	case Nop, Halt, Ret, PredClear, PredSet:
-		return in.Op.String() + guard
+		dst = append(dst, in.Op.String()...)
 	case GuardApply:
-		return fmt.Sprintf("guard %s, %d", in.Guard, in.A.Imm)
+		dst = append(dst, "guard "...)
+		dst = in.Guard.appendTo(dst)
+		dst = append(dst, ", "...)
+		return strconv.AppendInt(dst, in.A.Imm, 10) // the guard is the operand
 	case Jump:
-		return fmt.Sprintf("jump B%d%s", in.Target, guard)
+		dst = append(dst, "jump B"...)
+		dst = strconv.AppendInt(dst, int64(in.Target), 10)
 	case JSR:
-		return fmt.Sprintf("jsr F%d%s", in.Target, guard)
+		dst = append(dst, "jsr F"...)
+		dst = strconv.AppendInt(dst, int64(in.Target), 10)
 	case BrEQ, BrNE, BrLT, BrLE, BrGT, BrGE:
-		return fmt.Sprintf("%s %s, %s, B%d%s", in.Op, in.A, in.B, in.Target, guard)
+		dst = append(dst, in.Op.String()...)
+		dst = append(dst, ' ')
+		dst = appendOperands(dst, in.A, in.B)
+		dst = append(dst, ", B"...)
+		dst = strconv.AppendInt(dst, int64(in.Target), 10)
 	case PredDef:
-		s := fmt.Sprintf("pred_%s", in.Cmp)
-		dests := ""
+		dst = append(dst, "pred_"...)
+		dst = append(dst, in.Cmp.String()...)
+		dst = append(dst, ' ')
 		if in.P1.Type != PredNone {
-			dests = fmt.Sprintf("%s_%s", in.P1.P, in.P1.Type)
+			dst = in.P1.appendTo(dst)
 		}
 		if in.P2.Type != PredNone {
-			if dests != "" {
-				dests += ", "
+			if in.P1.Type != PredNone {
+				dst = append(dst, ", "...)
 			}
-			dests += fmt.Sprintf("%s_%s", in.P2.P, in.P2.Type)
+			dst = in.P2.appendTo(dst)
 		}
-		return fmt.Sprintf("%s %s, %s, %s%s", s, dests, in.A, in.B, guard)
+		dst = append(dst, ", "...)
+		dst = appendOperands(dst, in.A, in.B)
 	case Store:
-		return fmt.Sprintf("store%s %s, %s, %s%s", silent, in.A, in.B, in.C, guard)
-	case Load:
-		return fmt.Sprintf("load%s %s, %s, %s%s", silent, in.Dst, in.A, in.B, guard)
-	case Mov, CvtIF, CvtFI, AbsF:
-		return fmt.Sprintf("%s%s %s, %s%s", in.Op, silent, in.Dst, in.A, guard)
+		dst = append(dst, "store"...)
+		dst = in.appendSilent(dst)
+		dst = append(dst, ' ')
+		dst = appendOperands(dst, in.A, in.B, in.C)
 	case CMov, CMovCom:
-		return fmt.Sprintf("%s %s, %s, %s%s", in.Op, in.Dst, in.A, in.C, guard)
+		dst = append(dst, in.Op.String()...)
+		dst = append(dst, ' ')
+		dst = in.Dst.appendTo(dst)
+		dst = append(dst, ", "...)
+		dst = appendOperands(dst, in.A, in.C)
 	case Select:
-		return fmt.Sprintf("select %s, %s, %s, %s%s", in.Dst, in.A, in.B, in.C, guard)
-	default:
-		return fmt.Sprintf("%s%s %s, %s, %s%s", in.Op, silent, in.Dst, in.A, in.B, guard)
+		dst = append(dst, "select "...)
+		dst = in.Dst.appendTo(dst)
+		dst = append(dst, ", "...)
+		dst = appendOperands(dst, in.A, in.B, in.C)
+	default: // Load, the one-source Mov, CvtIF, CvtFI, AbsF and two-source ALU ops
+		dst = append(dst, in.Op.String()...)
+		dst = in.appendSilent(dst)
+		dst = append(dst, ' ')
+		dst = in.Dst.appendTo(dst)
+		dst = append(dst, ", "...)
+		switch in.Op {
+		case Mov, CvtIF, CvtFI, AbsF:
+			dst = appendOperands(dst, in.A)
+		default:
+			dst = appendOperands(dst, in.A, in.B)
+		}
 	}
+	if in.Guard != PNone {
+		dst = append(dst, " ("...)
+		dst = in.Guard.appendTo(dst)
+		dst = append(dst, ')')
+	}
+	return dst
+}
+
+func (in *Instr) appendSilent(dst []byte) []byte {
+	if in.Silent {
+		dst = append(dst, "_s"...)
+	}
+	return dst
+}
+
+// appendOperands appends the operands' String forms separated by ", ".
+func appendOperands(dst []byte, ops ...Operand) []byte {
+	for i, o := range ops {
+		if i > 0 {
+			dst = append(dst, ", "...)
+		}
+		if o.IsImm {
+			dst = strconv.AppendInt(dst, o.Imm, 10)
+		} else {
+			dst = o.R.appendTo(dst)
+		}
+	}
+	return dst
 }

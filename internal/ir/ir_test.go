@@ -117,6 +117,48 @@ func TestInstrString(t *testing.T) {
 	}
 }
 
+// TestInstrStringForms pins the exact text of every syntactic class,
+// guarded and silent forms and the absent register and predicate
+// included: asm listings, golden hashes and diagnostics all carry it.
+func TestInstrStringForms(t *testing.T) {
+	for _, c := range []struct {
+		in   *Instr
+		want string
+	}{
+		{&Instr{Op: Nop}, "nop"},
+		{&Instr{Op: Halt, Guard: 3}, "halt (p3)"},
+		{&Instr{Op: Ret}, "ret"},
+		{&Instr{Op: PredClear, Guard: 1}, "pred_clear (p1)"},
+		{&Instr{Op: PredSet}, "pred_set"},
+		{&Instr{Op: GuardApply, Guard: 5, A: Imm(2)}, "guard p5, 2"},
+		{&Instr{Op: Jump, Target: 12, Guard: 2}, "jump B12 (p2)"},
+		{&Instr{Op: JSR, Target: 1}, "jsr F1"},
+		{NewBranch(GE, R(2), Imm(-3), 7), "bge r2, -3, B7"},
+		{NewPredDef(EQ, PredDest{P: 1, Type: PredOR}, PredDest{P: 3, Type: PredUBar}, R(4), Imm(0), 2),
+			"pred_eq p1_OR, p3_U~, r4, 0 (p2)"},
+		{NewPredDef(LTF, PredDest{P: 4, Type: PredANDBar}, PredDest{}, R(1), R(2), PNone),
+			"pred_lt_f p4_AND~, r1, r2"},
+		{NewPredDef(NE, PredDest{}, PredDest{P: 6, Type: PredU}, R(1), Imm(9), PNone),
+			"pred_ne p6_U, r1, 9"},
+		{&Instr{Op: Store, A: R(1), B: Imm(16), C: R(9), Silent: true, Guard: 4}, "store_s r1, 16, r9 (p4)"},
+		{&Instr{Op: Load, Dst: 1, A: R(2), B: Imm(16), Silent: true}, "load_s r1, r2, 16"},
+		{&Instr{Op: Mov, Dst: 8, A: Imm(-9223372036854775808)}, "mov r8, -9223372036854775808"},
+		{&Instr{Op: CvtFI, Dst: 2, A: R(0)}, "cvt_fi r2, r_none"},
+		{&Instr{Op: CMov, Dst: 3, A: R(4), C: R(5), Guard: 1}, "cmov r3, r4, r5 (p1)"},
+		{&Instr{Op: CMovCom, Dst: 3, A: Imm(4), C: R(5)}, "cmov_com r3, 4, r5"},
+		{&Instr{Op: Select, Dst: 3, A: R(1), B: R(2), C: R(2147483647)}, "select r3, r1, r2, r2147483647"},
+		{&Instr{Op: Div, Dst: 7, A: R(7), B: Imm(1), Silent: true, Guard: 10}, "div_s r7, r7, 1 (p10)"},
+		{&Instr{Op: AddF, Dst: 7, A: R(7), B: R(8)}, "add_f r7, r7, r8"},
+	} {
+		if got := c.in.String(); got != c.want {
+			t.Errorf("String() = %q, want %q", got, c.want)
+		}
+		if got := string(c.in.AppendTo([]byte("x"))); got != "x"+c.want {
+			t.Errorf("AppendTo = %q, want %q", got, "x"+c.want)
+		}
+	}
+}
+
 func TestCloneIndependence(t *testing.T) {
 	in := NewInstr(Add, 1, R(2), R(3))
 	cp := in.Clone()

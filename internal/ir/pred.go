@@ -3,6 +3,7 @@ package ir
 import (
 	"fmt"
 	"math"
+	"strconv"
 )
 
 // PReg names a 1-bit predicate register.  PNone (0) denotes "no predicate":
@@ -14,11 +15,13 @@ type PReg int32
 const PNone PReg = 0
 
 // String returns the assembly name of the predicate register.
-func (p PReg) String() string {
+func (p PReg) String() string { return string(p.appendTo(nil)) }
+
+func (p PReg) appendTo(dst []byte) []byte {
 	if p == PNone {
-		return "p_true"
+		return append(dst, "p_true"...)
 	}
-	return fmt.Sprintf("p%d", int32(p))
+	return strconv.AppendInt(append(dst, 'p'), int64(p), 10)
 }
 
 // PredType selects the destination-update rule of a predicate define
@@ -145,6 +148,12 @@ func (t PredType) NeedsSet() bool { return t == PredAND || t == PredANDBar }
 type PredDest struct {
 	P    PReg
 	Type PredType
+}
+
+// appendTo appends the destination in assembly form, e.g. p3_U~.
+func (d PredDest) appendTo(dst []byte) []byte {
+	dst = append(d.P.appendTo(dst), '_')
+	return append(dst, d.Type.String()...)
 }
 
 // EvalCmp evaluates a comparison kind on two register values.  Values are
