@@ -316,6 +316,67 @@ func BenchmarkCompileFullPred(b *testing.B) {
 	}
 }
 
+// BenchmarkSchedule times the per-target half of a compile on eqn, the
+// suite's largest function: list scheduling, guard lowering and the final
+// legality check of a program formed once per model family, for
+// issue8-br1 — the work a serving daemon's cold miss does after a formed
+// program cache hit.
+func BenchmarkSchedule(b *testing.B) {
+	k, err := bench.ByName("eqn")
+	if err != nil {
+		b.Fatal(err)
+	}
+	src := k.Build()
+	fopts := core.DefaultOptions(machine.Config{})
+	sb, err := core.Form(src, core.Superblock, fopts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	full, err := core.Form(src, core.FullPred, fopts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cmov, err := full.Derive(core.CondMove, fopts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	guard, err := full.Derive(core.GuardInstr, fopts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts := core.DefaultOptions(machine.Issue8Br1())
+	for _, f := range []struct {
+		name string
+		f    *core.Formed
+	}{{"superblock", sb}, {"cmov", cmov}, {"full", full}, {"guard", guard}} {
+		b.Run(f.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := f.f.Schedule(opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkEncodeArtifact times the store encoding of eqn's
+// conditional-move artifact, the largest listing a cold daemon miss
+// writes through.
+func BenchmarkEncodeArtifact(b *testing.B) {
+	art, err := experiments.CompileCell("eqn", core.CondMove, machine.Issue8Br1())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := experiments.EncodeArtifact(art); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkEmulate(b *testing.B) {
 	k, _ := bench.ByName("wc")
 	p := k.Build()

@@ -16,8 +16,8 @@ import (
 // This file is the exported per-cell surface of the harness: the serving
 // daemon (internal/serve) computes single (kernel, model, machine) cells
 // on demand and caches the compiled artifacts content-addressed, so a
-// cell's compile (core.Compile, the whole pipeline for one target) and
-// its measurement are exposed as reusable steps.  Run schedules from a
+// cell's compile (core.Form, then ScheduleCell for one target) and its
+// measurement are exposed as reusable steps.  Run schedules from a
 // formation shared per model family, which emits the same listings, and
 // measures on the same engine (one sim.Gang per cell), which pins the
 // served numbers to the ones the figures report.
@@ -79,20 +79,33 @@ func CompileCell(kernel string, model core.Model, cfg machine.Config) (*CellArti
 // parsed listing rather than a kernel generator and the caller supplies
 // the pipeline options (per-stage verification on, bounded profiling run).
 // name labels errors; cfg picks the scheduling target exactly as
-// CompileCell does.  The source program is never modified (core.Compile
+// CompileCell does.  The source program is never modified (core.Form
 // clones it).
 func CompileProgram(name string, src *ir.Program, model core.Model, cfg machine.Config, opts core.Options) (*CellArtifact, error) {
+	f, err := core.Form(src, model, opts)
+	if err != nil {
+		return nil, fmt.Errorf("%s %v @ %s: %w", name, model, SchedTarget(cfg).Name, err)
+	}
+	return ScheduleCell(name, f, cfg, opts)
+}
+
+// ScheduleCell is the per-target half of CompileProgram: it schedules a
+// formed program for the scheduling target of cfg (core.Formed.Schedule
+// with opts.Machine set to it) and pre-decodes the listing.  A caller
+// that keeps formed programs, the serving daemon's formed-program layer,
+// builds every artifact of a model family from one formation this way.
+func ScheduleCell(name string, f *core.Formed, cfg machine.Config, opts core.Options) (*CellArtifact, error) {
 	target := SchedTarget(cfg)
 	opts.Machine = target
-	c, err := core.Compile(src, model, opts)
+	c, err := f.Schedule(opts)
 	if err != nil {
-		return nil, fmt.Errorf("%s %v @ %s: %w", name, model, target.Name, err)
+		return nil, fmt.Errorf("%s %v @ %s: %w", name, f.Model, target.Name, err)
 	}
 	code, err := emu.Decode(c.Prog)
 	if err != nil {
-		return nil, fmt.Errorf("%s %v @ %s: decode: %w", name, model, target.Name, err)
+		return nil, fmt.Errorf("%s %v @ %s: decode: %w", name, f.Model, target.Name, err)
 	}
-	return &CellArtifact{Kernel: name, Model: model, Target: target, Compiled: c, Code: code}, nil
+	return &CellArtifact{Kernel: name, Model: f.Model, Target: target, Compiled: c, Code: code}, nil
 }
 
 // Measurement is one simulated cell: the timing statistics of a single

@@ -59,6 +59,20 @@ func (c *Cache) Get(key string) (any, bool) {
 	return el.Value.(*entry).val, true
 }
 
+// Peek returns the cached value without counting a hit or a miss and
+// without refreshing its recency.  It is the re-check a singleflight
+// leader makes after its caller's Get missed: that lookup already
+// counted, and one request must count one miss.
+func (c *Cache) Peek(key string) (any, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.items[key]
+	if !ok {
+		return nil, false
+	}
+	return el.Value.(*entry).val, true
+}
+
 // Add inserts or refreshes a value, evicting the least recently used
 // entry when the bound is exceeded.
 func (c *Cache) Add(key string, val any) {

@@ -3,8 +3,10 @@ package serve
 import (
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"predication/internal/obs"
 )
@@ -38,6 +40,29 @@ func TestCacheLRU(t *testing.T) {
 	}
 	if snap.Counters["t_hits"] != 3 || snap.Counters["t_misses"] != 1 {
 		t.Errorf("hits/misses = %d/%d, want 3/1",
+			snap.Counters["t_hits"], snap.Counters["t_misses"])
+	}
+}
+
+// TestCachePeek: Peek reads without counting or refreshing recency.
+func TestCachePeek(t *testing.T) {
+	reg := obs.NewRegistry()
+	c := NewCache("t", 2, reg)
+	c.Add("a", 1)
+	c.Add("b", 2)
+	if v, ok := c.Peek("a"); !ok || v.(int) != 1 {
+		t.Fatalf("Peek(a) = %v, %v", v, ok)
+	}
+	if _, ok := c.Peek("z"); ok {
+		t.Fatal("Peek found an absent key")
+	}
+	c.Add("c", 3) // a is still least recently used
+	if _, ok := c.Peek("a"); ok {
+		t.Error("Peek refreshed a's recency")
+	}
+	snap := reg.Snapshot()
+	if snap.Counters["t_hits"] != 0 || snap.Counters["t_misses"] != 0 {
+		t.Errorf("Peek counted: hits/misses = %d/%d, want 0/0",
 			snap.Counters["t_hits"], snap.Counters["t_misses"])
 	}
 }
@@ -128,5 +153,74 @@ func TestSingleflightCoalesces(t *testing.T) {
 	})
 	if executions != 2 {
 		t.Errorf("completed key still coalescing: %d executions", executions)
+	}
+}
+
+// TestSingleflightPanicReleasesKey: a call that panics still completes.
+// Its caller sees the panic (the daemon's guard turns it into a 500),
+// a caller that had joined it gets an error instead of waiting forever,
+// and the key is released, so the next call executes afresh.
+func TestSingleflightPanicReleasesKey(t *testing.T) {
+	var g group
+	gate := make(chan struct{})
+	leader := make(chan any, 1)
+	go func() {
+		defer func() { leader <- recover() }()
+		g.Do("key", func() (any, error) {
+			<-gate
+			panic("boom")
+		})
+	}()
+	for {
+		g.mu.Lock()
+		_, started := g.m["key"]
+		g.mu.Unlock()
+		if started {
+			break
+		}
+		runtime.Gosched()
+	}
+	joined := make(chan error, 1)
+	go func() {
+		_, shared, err := g.Do("key", func() (any, error) { return "ran", nil })
+		if !shared {
+			err = fmt.Errorf("the duplicate ran its own call (%v)", err)
+		}
+		joined <- err
+	}()
+	for {
+		g.mu.Lock()
+		dups := g.m["key"].dups
+		g.mu.Unlock()
+		if dups == 1 {
+			break
+		}
+		runtime.Gosched()
+	}
+	close(gate)
+
+	if r := <-leader; r != "boom" {
+		t.Fatalf("leader recovered %v, want the original panic value", r)
+	}
+	select {
+	case err := <-joined:
+		if err == nil || !strings.Contains(err.Error(), "boom") {
+			t.Errorf("joined caller: err = %v, want the panic reported", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("joined caller still blocked 5 s after the panic")
+	}
+	next := make(chan any, 1)
+	go func() {
+		v, _, _ := g.Do("key", func() (any, error) { return "fresh", nil })
+		next <- v
+	}()
+	select {
+	case v := <-next:
+		if v != "fresh" {
+			t.Errorf("next call got %v, want a fresh execution", v)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("key still held 5 s after the panic")
 	}
 }

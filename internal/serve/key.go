@@ -44,6 +44,14 @@ func ArtifactKey(kernel string, model core.Model, target machine.Config) string 
 		kernel, model, optionsFingerprint(core.DefaultOptions(target))))
 }
 
+// formedKey addresses one formed program in the daemon's formed-program
+// layer: (kernel, model, compiler options) with the machine zeroed, since
+// formation never reads it.  The key is never persisted.
+func formedKey(kernel string, model core.Model) string {
+	return digest(fmt.Sprintf("formed|kernel=%s|model=%d|opts=%s",
+		kernel, model, optionsFingerprint(core.DefaultOptions(machine.Config{}))))
+}
+
 // ResultKey addresses one measured cell: the artifact coordinates plus
 // the simulator configuration actually timed and whether the run was
 // instrumented (observed runs carry the breakdown in the body, so they

@@ -62,9 +62,10 @@ import (
 // Config sizes the daemon.  The zero value of every field selects a
 // sensible default (see New).
 type Config struct {
-	// ArtifactCacheSize bounds the compiled-artifact cache (entries).
-	// Default 64 — the full 15-kernel × 4-model × 4-target matrix is 240
-	// artifacts, so the default deliberately exercises eviction.
+	// ArtifactCacheSize bounds the compiled-artifact cache (entries), and
+	// the formed-program cache beneath it likewise.  Default 64 — the full
+	// 15-kernel × 4-model × 4-target matrix is 240 artifacts from 45
+	// formed programs, so the default deliberately exercises eviction.
 	ArtifactCacheSize int
 	// ResultCacheSize bounds the rendered-response cache (entries).
 	// Default 1024.
@@ -148,6 +149,7 @@ type Config struct {
 type Server struct {
 	cfg       Config
 	reg       *obs.Registry
+	formed    *Cache // formed programs, one per (kernel, model family form)
 	artifacts *Cache
 	results   *Cache
 	flight    group
@@ -262,6 +264,7 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:       cfg,
 		reg:       cfg.Registry,
+		formed:    NewCache("serve_formed_cache", cfg.ArtifactCacheSize, cfg.Registry),
 		artifacts: NewCache("serve_artifact_cache", cfg.ArtifactCacheSize, cfg.Registry),
 		results:   NewCache("serve_result_cache", cfg.ResultCacheSize, cfg.Registry),
 		queue:     make(chan struct{}, cfg.Workers+cfg.QueueDepth),
@@ -671,8 +674,9 @@ func (s *Server) computeCell(tr *obs.Trace, key, kernel string, model core.Model
 // artifact returns the compiled artifact for the cell, through the
 // content-addressed cache layers: memory, then the disk store (decoded
 // artifacts are measurement-identical to compiled ones — pinned by
-// TestArtifactCodecParity), then a compile with write-through.  Its own
-// singleflight key prevents two simulator configurations sharing
+// TestArtifactCodecParity), then a compile with write-through.  A compile
+// schedules the cell's formed program (see formedProgram) for its target.
+// Its own singleflight key prevents two simulator configurations sharing
 // scheduled code (the cache variants) from compiling the same artifact
 // twice concurrently.
 func (s *Server) artifact(kernel string, model core.Model, cfg machine.Config) (*experiments.CellArtifact, error) {
@@ -682,14 +686,18 @@ func (s *Server) artifact(kernel string, model core.Model, cfg machine.Config) (
 		return v.(*experiments.CellArtifact), nil
 	}
 	v, _, err := s.flight.Do("compile:"+akey, func() (any, error) {
-		if v, ok := s.artifacts.Get(akey); ok {
+		if v, ok := s.artifacts.Peek(akey); ok {
 			return v, nil
 		}
 		if art, ok := s.storedArtifact(s.artifactStore, akey); ok {
 			s.artifacts.Add(akey, art)
 			return art, nil
 		}
-		art, err := experiments.CompileCell(kernel, model, cfg)
+		f, err := s.formedProgram(kernel, model)
+		if err != nil {
+			return nil, err
+		}
+		art, err := experiments.ScheduleCell(kernel, f, target, core.DefaultOptions(target))
 		if err != nil {
 			return nil, err
 		}
@@ -701,6 +709,58 @@ func (s *Server) artifact(kernel string, model core.Model, cfg machine.Config) (
 		return nil, err
 	}
 	return v.(*experiments.CellArtifact), nil
+}
+
+// formedProgram returns the kernel's program formed for the model through
+// the formed-program layer, an LRU in memory only: a restart forms again
+// on its first miss.  Formation reads no machine, so every scheduling
+// target of a model shares one entry, and as in experiments.Run the
+// conditional-move form is derived from the fully predicated one, which
+// the guard-instruction model schedules directly.  Each form is built
+// under its own singleflight key.
+func (s *Server) formedProgram(kernel string, model core.Model) (*core.Formed, error) {
+	fopts := core.DefaultOptions(machine.Config{})
+	if model == core.GuardInstr {
+		full, err := s.formedProgram(kernel, core.FullPred)
+		if err != nil {
+			return nil, err
+		}
+		return full.Derive(model, fopts)
+	}
+	fkey := formedKey(kernel, model)
+	if v, ok := s.formed.Get(fkey); ok {
+		return v.(*core.Formed), nil
+	}
+	v, _, err := s.flight.Do("form:"+fkey, func() (any, error) {
+		if v, ok := s.formed.Peek(fkey); ok {
+			return v, nil
+		}
+		var f *core.Formed
+		if model == core.CondMove {
+			full, err := s.formedProgram(kernel, core.FullPred)
+			if err != nil {
+				return nil, err
+			}
+			if f, err = full.Derive(model, fopts); err != nil {
+				return nil, fmt.Errorf("%s %v: %w", kernel, model, err)
+			}
+		} else {
+			k, err := bench.ByName(kernel)
+			if err != nil {
+				return nil, err
+			}
+			if f, err = core.Form(k.Build(), model, fopts); err != nil {
+				return nil, fmt.Errorf("%s %v: %w", kernel, model, err)
+			}
+		}
+		s.reg.Counter("serve_formations").Inc()
+		s.formed.Add(fkey, f)
+		return f, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return v.(*core.Formed), nil
 }
 
 // storedArtifact loads and decodes one artifact record.  A record that

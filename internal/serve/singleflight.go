@@ -1,6 +1,9 @@
 package serve
 
-import "sync"
+import (
+	"fmt"
+	"sync"
+)
 
 // group coalesces concurrent calls with the same key into one execution:
 // the first caller runs fn, every concurrent duplicate blocks and
@@ -24,6 +27,10 @@ type call struct {
 // shared is false for the caller that executed fn and true for every
 // duplicate that joined it — the daemon labels the former's response a
 // cache miss and the latters' coalesced.
+//
+// A call that panics completes too: the key is released, the joined
+// callers get an error, and the panic continues in the caller that ran
+// fn, whose guard (experiments.Guard) reports it.
 func (g *group) Do(key string, fn func() (any, error)) (val any, shared bool, err error) {
 	g.mu.Lock()
 	if g.m == nil {
@@ -40,11 +47,22 @@ func (g *group) Do(key string, fn func() (any, error)) (val any, shared bool, er
 	g.m[key] = c
 	g.mu.Unlock()
 
+	returned := false
+	defer func() {
+		var r any
+		if !returned {
+			r = recover() // nil when fn called runtime.Goexit
+			c.val, c.err = nil, fmt.Errorf("serve: shared computation did not return: panic: %v", r)
+		}
+		g.mu.Lock()
+		delete(g.m, key)
+		g.mu.Unlock()
+		c.wg.Done()
+		if r != nil {
+			panic(r)
+		}
+	}()
 	c.val, c.err = fn()
-
-	g.mu.Lock()
-	delete(g.m, key)
-	g.mu.Unlock()
-	c.wg.Done()
+	returned = true
 	return c.val, false, c.err
 }

@@ -338,7 +338,7 @@ func (s *Server) submitArtifact(prog *submit.Program, model core.Model, cfg mach
 		return v.(*experiments.CellArtifact), nil
 	}
 	v, _, err := s.flight.Do("compile:"+akey, func() (any, error) {
-		if v, ok := s.submitArtifacts.Get(akey); ok {
+		if v, ok := s.submitArtifacts.Peek(akey); ok {
 			return v, nil
 		}
 		if art, ok := s.storedArtifact(s.submitArtifactStore, akey); ok {
