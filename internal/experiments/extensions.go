@@ -52,8 +52,48 @@ var defaultExtensionKernels = []string{
 	"wc", "grep", "cmp", "023.eqntott", "008.espresso", "lex", "qsort",
 }
 
+// formKernel forms the named kernel for each model family the given
+// models need, deriving the conditional-move form from the fully
+// predicated one as Run does.  Formation reads no machine.
+func formKernel(name string, models []core.Model) (map[core.Model]*core.Formed, error) {
+	k, err := bench.ByName(name)
+	if err != nil {
+		return nil, err
+	}
+	src := k.Build()
+	fopts := core.DefaultOptions(machine.Config{})
+	forms := map[core.Model]*core.Formed{}
+	for _, m := range models {
+		base := forms[m.Family()]
+		if base == nil {
+			if base, err = core.Form(src, m.Family(), fopts); err != nil {
+				return nil, fmt.Errorf("%s %v: %w", name, m.Family(), err)
+			}
+			forms[m.Family()] = base
+		}
+		if forms[m], err = base.Derive(m, fopts); err != nil {
+			return nil, fmt.Errorf("%s %v: %w", name, m, err)
+		}
+	}
+	return forms, nil
+}
+
+// measureFormed schedules a formed program for target and measures the
+// listing on every configuration of cfgs in one emulation, a gang lane
+// each.
+func measureFormed(name string, f *core.Formed, target machine.Config, cfgs []machine.Config) ([]*Measurement, error) {
+	art, err := ScheduleCell(name, f, target, core.DefaultOptions(target))
+	if err != nil {
+		return nil, err
+	}
+	return art.MeasureAll(cfgs, false)
+}
+
 // PenaltySweep reports mean speedups (vs the 1-issue baseline at 2-cycle
-// penalty) for each model as the misprediction penalty grows.
+// penalty) for each model as the misprediction penalty grows.  The
+// scheduler never reads the penalty, so each kernel is formed once per
+// model family and scheduled once per model, and one emulation measures
+// every penalty, a gang lane each.
 func PenaltySweep(kernels []string, penalties []int) (*Table, error) {
 	if kernels == nil {
 		kernels = defaultExtensionKernels
@@ -62,28 +102,38 @@ func PenaltySweep(kernels []string, penalties []int) (*Table, error) {
 		Title:   "Extension: misprediction-penalty sweep, 8-issue 1-branch (mean speedup vs 2-cycle 1-issue baseline)",
 		Headers: []string{"Penalty", "Superblock", "Cond. Move", "Full Pred."},
 	}
-	base := map[string]int64{}
+	mcs := make([]machine.Config, len(penalties))
+	for i, pen := range penalties {
+		mcs[i] = machine.Issue8Br1()
+		mcs[i].MispredictPenalty = pen
+	}
+	sums := make([][]float64, len(penalties)) // [penalty][model]
+	for i := range sums {
+		sums[i] = make([]float64, len(Models))
+	}
 	for _, name := range kernels {
-		st, _, err := measureKernel(name, core.Superblock, machine.Issue1(), nil)
+		forms, err := formKernel(name, Models)
 		if err != nil {
 			return nil, err
 		}
-		base[name] = st.Cycles
-	}
-	for _, pen := range penalties {
-		mc := machine.Issue8Br1()
-		mc.MispredictPenalty = pen
-		row := []string{fmt.Sprintf("%d", pen)}
-		for _, model := range Models {
-			sum := 0.0
-			for _, name := range kernels {
-				st, _, err := measureKernel(name, model, mc, nil)
-				if err != nil {
-					return nil, err
-				}
-				sum += float64(base[name]) / float64(st.Cycles)
+		base, err := measureFormed(name, forms[core.Superblock], machine.Issue1(), []machine.Config{machine.Issue1()})
+		if err != nil {
+			return nil, err
+		}
+		for mi, model := range Models {
+			ms, err := measureFormed(name, forms[model], machine.Issue8Br1(), mcs)
+			if err != nil {
+				return nil, err
 			}
-			row = append(row, fmt.Sprintf("%.2f", sum/float64(len(kernels))))
+			for pi, m := range ms {
+				sums[pi][mi] += float64(base[0].Stats.Cycles) / float64(m.Stats.Cycles)
+			}
+		}
+	}
+	for pi, pen := range penalties {
+		row := []string{fmt.Sprintf("%d", pen)}
+		for mi := range Models {
+			row = append(row, fmt.Sprintf("%.2f", sums[pi][mi]/float64(len(kernels))))
 		}
 		t.Rows = append(t.Rows, row)
 	}
@@ -92,7 +142,9 @@ func PenaltySweep(kernels []string, penalties []int) (*Table, error) {
 
 // PredDistanceSweep reports full-predication mean speedups as the
 // predicate define-to-use distance grows (deeper pipelines / no predicate
-// bypass), with writeback-stage suppression as the 0-cycle bound.
+// bypass), with writeback-stage suppression as the 0-cycle bound.  The
+// distance is a scheduling parameter, so each kernel is formed once and
+// scheduled once per distance.
 func PredDistanceSweep(kernels []string) (*Table, error) {
 	if kernels == nil {
 		kernels = defaultExtensionKernels
@@ -100,14 +152,6 @@ func PredDistanceSweep(kernels []string) (*Table, error) {
 	t := &Table{
 		Title:   "Extension: predicate define-to-use distance (full predication, 8-issue 1-branch)",
 		Headers: []string{"Distance", "Mean speedup"},
-	}
-	base := map[string]int64{}
-	for _, name := range kernels {
-		st, _, err := measureKernel(name, core.Superblock, machine.Issue1(), nil)
-		if err != nil {
-			return nil, err
-		}
-		base[name] = st.Cycles
 	}
 	type variant struct {
 		label string
@@ -131,17 +175,27 @@ func PredDistanceSweep(kernels []string) (*Table, error) {
 			return mc
 		}},
 	}
-	for _, v := range variants {
-		mc := v.conf()
-		sum := 0.0
-		for _, name := range kernels {
-			st, _, err := measureKernel(name, core.FullPred, mc, func(o *core.Options) { o.Machine = mc })
+	sums := make([]float64, len(variants))
+	for _, name := range kernels {
+		forms, err := formKernel(name, []core.Model{core.Superblock, core.FullPred})
+		if err != nil {
+			return nil, err
+		}
+		base, err := measureFormed(name, forms[core.Superblock], machine.Issue1(), []machine.Config{machine.Issue1()})
+		if err != nil {
+			return nil, err
+		}
+		for vi, v := range variants {
+			mc := v.conf()
+			ms, err := measureFormed(name, forms[core.FullPred], mc, []machine.Config{mc})
 			if err != nil {
 				return nil, err
 			}
-			sum += float64(base[name]) / float64(st.Cycles)
+			sums[vi] += float64(base[0].Stats.Cycles) / float64(ms[0].Stats.Cycles)
 		}
-		t.Rows = append(t.Rows, []string{v.label, fmt.Sprintf("%.2f", sum/float64(len(kernels)))})
+	}
+	for vi, v := range variants {
+		t.Rows = append(t.Rows, []string{v.label, fmt.Sprintf("%.2f", sums[vi]/float64(len(kernels)))})
 	}
 	return t, nil
 }
