@@ -435,7 +435,7 @@ func (v *verifier) defineTypes(f *ir.Func, at reporter) {
 // first, then predicates — the restriction cfg.ComputeLiveness makes.
 // Formation leaves thousands of registers that live inside one block;
 // with the per-block sets in one flat array, the pass is linear in the
-// listing.
+// listing.  The caller has ruled out nil instructions.
 func (v *verifier) defBeforeUse(f *ir.Func, at reporter) {
 	nReg, nPreg := int(f.NextReg), int(f.NextPReg)
 	if nReg <= 0 || nPreg <= 0 {
@@ -451,49 +451,21 @@ func (v *verifier) defBeforeUse(f *ir.Func, at reporter) {
 		return // every read follows a definition in its own block
 	}
 
-	// gen[k] is block k's definitions in the index space (out = in | gen:
-	// a may analysis never kills), in[k] the union of its predecessors'
-	// outs.  Block k's sets are words [k*w, (k+1)*w).
-	pos := make([]int32, len(f.Blocks)) // block ID -> position in blocks
-	for i := range pos {
-		pos[i] = -1
-	}
-	for k, b := range blocks {
-		pos[b.ID] = int32(k)
-	}
-	gen := make([]uint64, len(blocks)*w)
-	in := make([]uint64, len(blocks)*w)
-	for k, b := range blocks {
-		g := gen[k*w : (k+1)*w]
-		for _, ins := range b.Instrs {
-			if ins != nil {
-				d.define(ins, g)
-			}
-		}
-	}
-	// Predecessor lists over live blocks, flattened: block k's
-	// predecessors are preds[start[k]:start[k+1]].
-	start := make([]int32, len(blocks)+1)
+	// gen holds each block's definitions in the index space (out = in |
+	// gen: a may analysis never kills) and in the union of its
+	// predecessors' outs; block ID b's sets are words [b*w, (b+1)*w).
+	n := len(f.Blocks)
+	gen, in := make([]uint64, n*w), make([]uint64, n*w)
+	preds := make([][]int32, n) // over live blocks
 	var succs []int
 	for _, b := range blocks {
-		succs = b.Succs(succs[:0])
-		for _, s := range succs {
-			if s >= 0 && s < len(pos) && pos[s] >= 0 {
-				start[pos[s]+1]++
-			}
+		for _, ins := range b.Instrs {
+			d.define(ins, gen[b.ID*w:(b.ID+1)*w])
 		}
-	}
-	for k := range blocks {
-		start[k+1] += start[k]
-	}
-	preds := make([]int32, start[len(blocks)])
-	fill := append([]int32(nil), start[:len(blocks)]...)
-	for k, b := range blocks {
 		succs = b.Succs(succs[:0])
 		for _, s := range succs {
-			if s >= 0 && s < len(pos) && pos[s] >= 0 {
-				preds[fill[pos[s]]] = int32(k)
-				fill[pos[s]]++
+			if s >= 0 && s < n && f.Blocks[s] != nil && !f.Blocks[s].Dead {
+				preds[s] = append(preds[s], int32(b.ID))
 			}
 		}
 	}
@@ -501,9 +473,9 @@ func (v *verifier) defBeforeUse(f *ir.Func, at reporter) {
 	// Iterate to fixpoint: in[b] = union of out[pred]; entry starts empty.
 	for changed := true; changed; {
 		changed = false
-		for k := range blocks {
-			dst := in[k*w : (k+1)*w]
-			for _, p := range preds[start[k]:start[k+1]] {
+		for _, b := range blocks {
+			dst := in[b.ID*w : (b.ID+1)*w]
+			for _, p := range preds[b.ID] {
 				pin, pgen := in[int(p)*w:int(p+1)*w], gen[int(p)*w:int(p+1)*w]
 				for j := range dst {
 					if n := dst[j] | pin[j] | pgen[j]; n != dst[j] {
@@ -519,12 +491,9 @@ func (v *verifier) defBeforeUse(f *ir.Func, at reporter) {
 	// before applying the instruction's definitions.
 	cur := make([]uint64, w)
 	var srcBuf [4]ir.Reg
-	for k, b := range blocks {
-		copy(cur, in[k*w:(k+1)*w])
+	for _, b := range blocks {
+		copy(cur, in[b.ID*w:(b.ID+1)*w])
 		for i, ins := range b.Instrs {
-			if ins == nil {
-				continue
-			}
 			if g := ins.Guard; g != ir.PNone && uint(g) < uint(nPreg) {
 				if x := d.predIx[g]; x >= 0 && !has(cur, d.nRegs+int(x)) {
 					at(b, i, UseBeforeDef, "guard %s has no reaching definition", g)
@@ -571,23 +540,19 @@ type exposed struct {
 }
 
 // numberExposed walks each block forward, stamping every definition with
-// the block's position, so a read is upward-exposed when its register
-// carries no stamp of the current block.  Reads happen before writes
-// within one instruction, and a pred_clear or pred_set defines every
-// predicate.
+// the block's ID, so a read is upward-exposed when its register carries
+// no stamp of the current block.  Reads happen before writes within one
+// instruction, and a pred_clear or pred_set defines every predicate.
 func numberExposed(blocks []*ir.Block, nReg, nPreg int) *exposed {
 	d := &exposed{regIx: make([]int32, nReg), predIx: make([]int32, nPreg)}
 	// The index arrays double as stamps until numbering: a definition
-	// stores -(position+1), an upward-exposed read 1.
+	// stores -(block ID+1), an upward-exposed read 1.
 	rstamp, pstamp := d.regIx, d.predIx
 	var srcBuf [4]ir.Reg
-	for k, b := range blocks {
-		stamp := int32(-(k + 1))
+	for _, b := range blocks {
+		stamp := int32(-(b.ID + 1))
 		allPreds := false
 		for _, in := range b.Instrs {
-			if in == nil {
-				continue
-			}
 			if g := in.Guard; g != ir.PNone && uint(g) < uint(nPreg) && !allPreds && pstamp[g] != stamp {
 				pstamp[g] = 1
 			}
