@@ -331,9 +331,7 @@ func (s *Server) computeSubmit(tr *obs.Trace, key string, prog *submit.Program, 
 // the submission artifact cache, singleflighted like the kernel path.
 // The returned error is a *submit.Reject when the gate refused it.
 func (s *Server) submitArtifact(prog *submit.Program, model core.Model, cfg machine.Config) (*experiments.CellArtifact, error) {
-	target := experiments.SchedTarget(cfg)
-	akey := digest(fmt.Sprintf("submitart|program=%s|model=%d|target=%s|steps=%d",
-		prog.Digest, model, target.Name, s.submitLimits.MaxSteps))
+	akey := submitArtifactKey(prog.Digest, model, experiments.SchedTarget(cfg), s.submitLimits.MaxSteps)
 	if v, ok := s.submitArtifacts.Get(akey); ok {
 		return v.(*experiments.CellArtifact), nil
 	}
@@ -357,6 +355,14 @@ func (s *Server) submitArtifact(prog *submit.Program, model core.Model, cfg mach
 		return nil, err
 	}
 	return v.(*experiments.CellArtifact), nil
+}
+
+// submitArtifactKey addresses one compiled submission: the canonical
+// program digest, the model, the scheduling target and the step quota
+// (the quota bounds the profiling run, so it shapes the listing).
+func submitArtifactKey(progDigest string, model core.Model, target machine.Config, maxSteps int64) string {
+	return digest(fmt.Sprintf("submitart|program=%s|model=%d|target=%s|steps=%d",
+		progDigest, model, target.Name, maxSteps))
 }
 
 // submitResultKey addresses one rendered submission response: the
