@@ -146,9 +146,6 @@ func (t *Trace) Finish() {
 	t.open = t.open[:1] // the root stays addressable for Wall/Stages reads
 }
 
-// Root returns the trace's root span.
-func (t *Trace) Root() *Span { return t.root }
-
 // Wall is the request's server-side wall time: the root span's duration
 // once finished, or the time elapsed so far.
 func (t *Trace) Wall() time.Duration {
@@ -230,38 +227,6 @@ func (t *Trace) ServerTiming() string {
 // microsecond resolution and no trailing zeros.
 func formatMillis(d time.Duration) string {
 	return strconv.FormatFloat(float64(d.Microseconds())/1000, 'f', -1, 64)
-}
-
-// ParseServerTiming parses a Server-Timing header value back into
-// per-stage millisecond durations.  Entries without a dur parameter are
-// skipped; repeated names keep the last value.  It is the client half
-// of the round-trip (cmd/predload aggregates per-stage medians with
-// it).
-func ParseServerTiming(h string) map[string]float64 {
-	if h == "" {
-		return nil
-	}
-	out := map[string]float64{}
-	for _, entry := range strings.Split(h, ",") {
-		parts := strings.Split(strings.TrimSpace(entry), ";")
-		name := strings.TrimSpace(parts[0])
-		if name == "" {
-			continue
-		}
-		for _, p := range parts[1:] {
-			k, v, ok := strings.Cut(strings.TrimSpace(p), "=")
-			if !ok || !strings.EqualFold(strings.TrimSpace(k), "dur") {
-				continue
-			}
-			if ms, err := strconv.ParseFloat(strings.TrimSpace(v), 64); err == nil {
-				out[name] = ms
-			}
-		}
-	}
-	if len(out) == 0 {
-		return nil
-	}
-	return out
 }
 
 // WriteChrome renders the span tree as Chrome trace-event records into

@@ -11,9 +11,9 @@ import (
 // The disk-layer tests: a daemon restart (a fresh Server over the same
 // -store-dir) keeps the content-addressed caches warm.  "Restart" here
 // is literal for everything that matters — the in-memory caches are
-// gone, only the files under StoreDir carry over — which is exactly the
-// acceptance criterion the committed benchmark (BENCH_PR8.json)
-// measures at the process level.
+// gone, only the files under StoreDir carry over — which is what the
+// benchmark's serve_warm workload (cmd/predperf) measures at the
+// process level.
 
 // storeConfig is a daemon with persistence rooted at dir.
 func storeConfig(dir string) Config {

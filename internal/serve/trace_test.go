@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -15,6 +16,73 @@ import (
 
 	"predication/internal/obs"
 )
+
+// parseServerTiming parses a Server-Timing header value back into
+// per-stage millisecond durations, the client half of the round-trip
+// these tests check.  Entries without a dur parameter are skipped;
+// repeated names keep the last value.
+func parseServerTiming(h string) map[string]float64 {
+	if h == "" {
+		return nil
+	}
+	out := map[string]float64{}
+	for _, entry := range strings.Split(h, ",") {
+		parts := strings.Split(strings.TrimSpace(entry), ";")
+		name := strings.TrimSpace(parts[0])
+		if name == "" {
+			continue
+		}
+		for _, p := range parts[1:] {
+			k, v, ok := strings.Cut(strings.TrimSpace(p), "=")
+			if !ok || !strings.EqualFold(strings.TrimSpace(k), "dur") {
+				continue
+			}
+			if ms, err := strconv.ParseFloat(strings.TrimSpace(v), 64); err == nil {
+				out[name] = ms
+			}
+		}
+	}
+	if len(out) == 0 {
+		return nil
+	}
+	return out
+}
+
+// TestServerTimingRoundTrip: Stages → header → parseServerTiming
+// preserves every stage name and millisecond duration, sums repeated
+// stage names, and always carries the total.
+func TestServerTimingRoundTrip(t *testing.T) {
+	tr := obs.NewTrace("")
+	now := time.Now()
+	tr.Add("compile", now, 1500*time.Microsecond)
+	tr.Add("measure", now, 40*time.Millisecond)
+	tr.Add("compile", now, 500*time.Microsecond) // repeated name sums
+	time.Sleep(time.Millisecond)                 // give the root span a measurable wall
+	tr.Finish()
+
+	stages := tr.Stages()
+	if len(stages) != 2 || stages[0].Name != "compile" || stages[1].Name != "measure" {
+		t.Fatalf("stages = %+v, want compile then measure in first-start order", stages)
+	}
+	if stages[0].Dur != 2*time.Millisecond {
+		t.Errorf("compile stage = %v, want summed 2ms", stages[0].Dur)
+	}
+
+	h := tr.ServerTiming()
+	parsed := parseServerTiming(h)
+	if parsed["compile"] != 2 || parsed["measure"] != 40 {
+		t.Errorf("round-trip of %q = %v", h, parsed)
+	}
+	if total, ok := parsed["total"]; !ok || total <= 0 {
+		t.Errorf("header %q: missing positive total", h)
+	}
+	if parseServerTiming("") != nil {
+		t.Error("empty header should parse to nil")
+	}
+	if got := parseServerTiming("a;dur=1.5, b, c;other=2"); len(got) != 1 || got["a"] != 1.5 {
+		t.Errorf("entries without dur should be skipped: %v", got)
+	}
+}
 
 // getWithID is get with an X-Request-Id request header.
 func getWithID(t *testing.T, s *Server, url, id string) *httptest.ResponseRecorder {
@@ -63,7 +131,7 @@ func TestServerTimingAttribution(t *testing.T) {
 		t.Fatalf("cold request: %d: %s", miss.Code, miss.Body.String())
 	}
 	h := miss.Header().Get("Server-Timing")
-	parsed := obs.ParseServerTiming(h)
+	parsed := parseServerTiming(h)
 	if parsed == nil {
 		t.Fatalf("cold response has no Server-Timing header")
 	}
@@ -87,7 +155,7 @@ func TestServerTimingAttribution(t *testing.T) {
 	if hit.Header().Get("X-Cache") != "hit" {
 		t.Fatalf("second request X-Cache = %q, want hit", hit.Header().Get("X-Cache"))
 	}
-	hp := obs.ParseServerTiming(hit.Header().Get("Server-Timing"))
+	hp := parseServerTiming(hit.Header().Get("Server-Timing"))
 	if _, ok := hp["mem"]; !ok {
 		t.Errorf("hit Server-Timing %v: missing mem stage", hp)
 	}
@@ -181,7 +249,7 @@ func TestCoalescedWaiterRecordsWait(t *testing.T) {
 		if rec.Code != http.StatusOK {
 			t.Fatalf("request %d: %d: %s", i, rec.Code, rec.Body.String())
 		}
-		timing := obs.ParseServerTiming(rec.Header().Get("Server-Timing"))
+		timing := parseServerTiming(rec.Header().Get("Server-Timing"))
 		switch label := rec.Header().Get("X-Cache"); label {
 		case "miss": // the leader
 			if _, ok := timing["measure"]; !ok {
@@ -238,7 +306,7 @@ func TestShardTracePropagation(t *testing.T) {
 	if got := rec.Header().Get("X-Request-Id"); got != id {
 		t.Errorf("forwarded response ID = %q, want %q", got, id)
 	}
-	timing := obs.ParseServerTiming(rec.Header().Get("Server-Timing"))
+	timing := parseServerTiming(rec.Header().Get("Server-Timing"))
 	if _, ok := timing["forward"]; !ok {
 		t.Errorf("merged timing %v: missing the local forward stage", timing)
 	}
