@@ -151,7 +151,7 @@ func FuzzDecodeArtifact(f *testing.F) {
 		if art.MaxSteps <= 0 || art.MaxSteps > maxSteps {
 			art.MaxSteps = maxSteps
 		}
-		if _, err := art.MeasureAll(SimsFor(art.Target), true); err != nil && !strings.Contains(err.Error(), ": emulate: ") {
+		if _, err := art.MeasureAll(SimsFor(art.Target), true); err != nil && !strings.HasPrefix(err.Error(), "emulate: ") {
 			t.Fatalf("accepted artifact does not measure: %v", err)
 		}
 	})

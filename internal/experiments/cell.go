@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
@@ -17,10 +18,10 @@ import (
 // daemon (internal/serve) computes single (kernel, model, machine) cells
 // on demand and caches the compiled artifacts content-addressed, so a
 // cell's compile (core.Form, then ScheduleCell for one target) and its
-// measurement are exposed as reusable steps.  Run schedules from a
-// formation shared per model family, which emits the same listings, and
-// measures on the same engine (one sim.Gang per cell), which pins the
-// served numbers to the ones the figures report.
+// measurement (MeasureAll) are exposed as reusable steps.  Run measures
+// every matrix cell through the same two steps, from a formation shared
+// per model family, which pins the served numbers to the ones the
+// figures report.
 
 // SchedTarget maps a simulator configuration to the machine its code is
 // scheduled for.  The cache variants share the perfect-cache schedules
@@ -78,32 +79,38 @@ func CompileCell(kernel string, model core.Model, cfg machine.Config) (*CellArti
 // entry point for user-submitted code, where the program comes from a
 // parsed listing rather than a kernel generator and the caller supplies
 // the pipeline options (per-stage verification on, bounded profiling run).
-// name labels errors; cfg picks the scheduling target exactly as
-// CompileCell does.  The source program is never modified (core.Form
-// clones it).
+// name labels the artifact and its errors; cfg picks the scheduling
+// target exactly as CompileCell does.  The source program is never
+// modified (core.Form clones it).
 func CompileProgram(name string, src *ir.Program, model core.Model, cfg machine.Config, opts core.Options) (*CellArtifact, error) {
 	f, err := core.Form(src, model, opts)
+	var art *CellArtifact
+	if err == nil {
+		art, err = ScheduleCell(name, f, cfg, opts)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("%s %v @ %s: %w", name, model, SchedTarget(cfg).Name, err)
 	}
-	return ScheduleCell(name, f, cfg, opts)
+	return art, nil
 }
 
 // ScheduleCell is the per-target half of CompileProgram: it schedules a
 // formed program for the scheduling target of cfg (core.Formed.Schedule
-// with opts.Machine set to it) and pre-decodes the listing.  A caller
-// that keeps formed programs, the serving daemon's formed-program layer,
-// builds every artifact of a model family from one formation this way.
+// with opts.Machine set to it) and pre-decodes the listing.  Run builds
+// every matrix cell this way, and the serving daemon's formed-program
+// layer every artifact of a model family.  name labels the artifact; the
+// errors carry no coordinates, since every caller already names the cell
+// (CellError, CompileProgram, the daemon's responses).
 func ScheduleCell(name string, f *core.Formed, cfg machine.Config, opts core.Options) (*CellArtifact, error) {
 	target := SchedTarget(cfg)
 	opts.Machine = target
 	c, err := f.Schedule(opts)
 	if err != nil {
-		return nil, fmt.Errorf("%s %v @ %s: %w", name, f.Model, target.Name, err)
+		return nil, err
 	}
 	code, err := emu.Decode(c.Prog)
 	if err != nil {
-		return nil, fmt.Errorf("%s %v @ %s: decode: %w", name, f.Model, target.Name, err)
+		return nil, fmt.Errorf("decode: %w", err)
 	}
 	return &CellArtifact{Kernel: name, Model: f.Model, Target: target, Compiled: c, Code: code}, nil
 }
@@ -138,12 +145,13 @@ func checksumOf(run *emu.Result) int64 {
 // account, each verified against that lane's stats.  A configuration
 // need not schedule-target the artifact's Target (see SchedTarget):
 // measuring on a mismatched machine is the ablation of running code
-// scheduled for one machine on another, so no check is enforced.  The
-// serving daemon uses this to fill all sibling cache entries of a cell
-// from one emulation.
+// scheduled for one machine on another, so no check is enforced.  Run
+// measures every matrix cell this way, and the serving daemon fills all
+// sibling cache entries of a cell from one emulation.  As with
+// ScheduleCell, the errors leave naming the cell to the caller.
 func (a *CellArtifact) MeasureAll(cfgs []machine.Config, observe bool) ([]*Measurement, error) {
 	if len(cfgs) == 0 {
-		return nil, fmt.Errorf("%s %v: MeasureAll needs at least one configuration", a.Kernel, a.Model)
+		return nil, errors.New("MeasureAll needs at least one configuration")
 	}
 	g := sim.NewGang(a.Compiled.Prog, cfgs)
 	var accts []*obs.CycleAccount
@@ -156,7 +164,7 @@ func (a *CellArtifact) MeasureAll(cfgs []machine.Config, observe bool) ([]*Measu
 	}
 	run, err := a.Code.Run(emu.Options{Sink: g, MaxSteps: a.MaxSteps})
 	if err != nil {
-		return nil, fmt.Errorf("%s %v: emulate: %w", a.Kernel, a.Model, err)
+		return nil, fmt.Errorf("emulate: %w", err)
 	}
 	ms := make([]*Measurement, len(cfgs))
 	for i, cfg := range cfgs {
@@ -164,7 +172,7 @@ func (a *CellArtifact) MeasureAll(cfgs []machine.Config, observe bool) ([]*Measu
 		m := &Measurement{Stats: st, Checksum: checksumOf(run), Steps: run.Steps}
 		if observe {
 			if err := accts[i].Verify(st.Cycles, st.Instrs, st.Nullified); err != nil {
-				return nil, fmt.Errorf("%s %v @ %s: cycle accounting: %w", a.Kernel, a.Model, cfg.Name, err)
+				return nil, fmt.Errorf("%s: cycle accounting: %w", cfg.Name, err)
 			}
 			m.Account = accts[i]
 		}

@@ -42,7 +42,7 @@ type BenchResult struct {
 	Checksum int64
 	// Accounts holds the per-cell stall-cycle breakdown and instruction
 	// mix when the suite ran with Options.Observe; nil otherwise.  Every
-	// account is Verify-checked against its cell's Stats at merge time.
+	// account is Verify-checked against its cell's Stats (MeasureAll).
 	Accounts map[Key]*obs.CycleAccount
 	// Pipelines holds each listing's stage trace when Options.Observe is
 	// set, keyed by model and *scheduling target* name (simulator
@@ -107,8 +107,8 @@ type Options struct {
 	CellTimeout time.Duration
 	// Observe attaches the observability layer to every matrix cell: each
 	// simulated configuration gets a cycle account (BenchResult.Accounts)
-	// and each compile a stage trace (BenchResult.Pipelines).  The merge
-	// verifies every account against its cell's Stats; a decomposition
+	// and each compile a stage trace (BenchResult.Pipelines).  Every
+	// account is verified against its cell's Stats; a decomposition
 	// violation is a CellError like any other cell fault.
 	Observe bool
 	// Registry, when non-nil, receives suite-level counters (cells_ok,
@@ -198,17 +198,13 @@ func families(cells []cellSpec) []family {
 	return fams
 }
 
-// cellResult is one matrix point's measurements: the stats of every
-// simulator configuration sharing the cell's scheduled code, plus the
-// cell's own checksum (validated against the reference run at merge).
+// cellResult is one matrix point's measurements, parallel to
+// simConfigs(target, ...): every simulator configuration sharing the
+// cell's scheduled code, from one emulation, so they share its checksum
+// (validated against the reference run at merge) and step count.
 type cellResult struct {
-	stats    []sim.Stats // parallel to simConfigs(target, ...)
-	checksum int64
-	steps    int64 // dynamic instructions in the cell's emulation
-	// accounts and pipeline are populated only under Options.Observe
-	// (accounts parallel to stats).
-	accounts []*obs.CycleAccount
-	pipeline *obs.PipelineTrace
+	ms       []*Measurement
+	pipeline *obs.PipelineTrace // only under Options.Observe
 }
 
 // cellOpts is the per-job slice of Options (predictors already
@@ -299,7 +295,7 @@ func runFamily(kernel string, src *ir.Program, cells []cellSpec, fam family, o c
 			errs[i] = curErr
 		} else {
 			f, pipe := cur.f, newTrace(o, cur.trace)
-			res[i], errs[i] = guardCell(o.timeout, func() (*cellResult, error) {
+			res[i], errs[i] = Guard(o.timeout, func() (*cellResult, error) {
 				return measureCell(kernel, f, pipe, cell, o)
 			})
 		}
@@ -310,42 +306,28 @@ func runFamily(kernel string, src *ir.Program, cells []cellSpec, fam family, o c
 	return res, errs
 }
 
-// measureCell schedules the formed program for the cell's target,
-// emulates the listing once, and measures every simulator configuration
-// sharing the scheduled code in that single pass — the schedule-once /
-// emulate-once / simulate-many core of the harness.  The trace is never
-// materialized: the emulator's batches stream into a sim.Gang, one lane
-// per configuration.
+// measureCell schedules the formed program for the cell's target
+// (ScheduleCell) and measures every simulator configuration sharing the
+// scheduled code in one emulation (CellArtifact.MeasureAll) — the
+// schedule-once / emulate-once / simulate-many core of the harness, and
+// the same two steps the serving daemon takes.  Under Options.Observe
+// every configuration's cycle account is verified against its Stats, and
+// a violation fails the cell like any other fault.
 func measureCell(kernel string, f *core.Formed, pipe *obs.PipelineTrace, cell cellSpec, o cellOpts) (*cellResult, error) {
 	if CellHook != nil {
 		CellHook(kernel, cell.model, cell.target.Name)
 	}
 	copts := core.DefaultOptions(cell.target)
 	copts.Pipeline = pipe
-	c, err := f.Schedule(copts)
+	art, err := ScheduleCell(kernel, f, cell.target, copts)
 	if err != nil {
 		return nil, err
 	}
-	cfgs := simConfigs(cell.target, o.predictors, o.windows)
-	g := sim.NewGang(c.Prog, cfgs)
-	var accounts []*obs.CycleAccount
-	if o.observe {
-		accounts = make([]*obs.CycleAccount, len(cfgs))
-		for i := range cfgs {
-			accounts[i] = &obs.CycleAccount{}
-			g.Instrument(i, accounts[i])
-		}
-	}
-	run, err := emu.Run(c.Prog, emu.Options{Sink: g})
+	ms, err := art.MeasureAll(simConfigs(cell.target, o.predictors, o.windows), o.observe)
 	if err != nil {
-		return nil, fmt.Errorf("emulate: %w", err)
+		return nil, err
 	}
-	res := &cellResult{checksum: run.Word(bench.CheckAddr), steps: run.Steps,
-		accounts: accounts, pipeline: pipe}
-	for i := range cfgs {
-		res.stats = append(res.stats, g.Stats(i))
-	}
-	return res, nil
+	return &cellResult{ms, pipe}, nil
 }
 
 // Run executes the full evaluation.  Each kernel is built once; its
@@ -403,9 +385,7 @@ func Run(opts Options) (*Suite, error) {
 	// the reference's, then one per matrix cell.
 	jobs := 1 + len(fams)
 	stride := 1 + len(cells)
-	refSums := make([]int64, len(kernels))
-	refSteps := make([]int64, len(kernels))
-	refOK := make([]bool, len(kernels))
+	refs := make([]*Measurement, len(kernels)) // nil: the reference run failed
 	cellRes := make([]*cellResult, len(kernels)*stride)
 	cellErr := make([]*CellError, len(kernels)*stride)
 
@@ -435,7 +415,7 @@ func Run(opts Options) (*Suite, error) {
 			cellErr[ki*stride+slot] = ce
 		}
 		if j%jobs == 0 {
-			ref, err := guardCell(opts.CellTimeout, func() (*cellResult, error) {
+			ref, err := Guard(opts.CellTimeout, func() (*Measurement, error) {
 				if buildErr[ki] != nil {
 					return nil, buildErr[ki]
 				}
@@ -443,14 +423,12 @@ func Run(opts Options) (*Suite, error) {
 				if err != nil {
 					return nil, err
 				}
-				return &cellResult{checksum: r.Word(bench.CheckAddr), steps: r.Steps}, nil
+				return &Measurement{Checksum: r.Word(bench.CheckAddr), Steps: r.Steps}, nil
 			})
 			if err != nil {
 				fail(0, &CellError{Kernel: k.Name, Ref: true, Err: err})
 			} else {
-				refSums[ki] = ref.checksum
-				refSteps[ki] = ref.steps
-				refOK[ki] = true
+				refs[ki] = ref
 			}
 		} else if buildErr[ki] == nil { // else the reference reports the kernel
 			fam := fams[j%jobs-1]
@@ -496,50 +474,29 @@ func Run(opts Options) (*Suite, error) {
 				suite.Errors = append(suite.Errors, ce)
 			}
 		}
-		if refOK[ki] {
-			res.Checksum = refSums[ki]
-			suite.Steps += refSteps[ki]
+		if ref := refs[ki]; ref != nil {
+			res.Checksum = ref.Checksum
+			suite.Steps += ref.Steps
 			for ci, cell := range cells {
 				cr := cellRes[ki*stride+1+ci]
 				if cr == nil {
 					continue // failed cell: the error is already collected
 				}
-				suite.Steps += cr.steps
-				if cr.checksum != res.Checksum {
+				suite.Steps += cr.ms[0].Steps
+				if sum := cr.ms[0].Checksum; sum != res.Checksum {
 					ce := &CellError{Kernel: k.Name, Model: cell.model, Target: cell.target.Name,
-						Err: fmt.Errorf("checksum mismatch %#x != %#x", cr.checksum, res.Checksum)}
+						Err: fmt.Errorf("checksum mismatch %#x != %#x", sum, res.Checksum)}
 					if opts.FailFast {
 						return nil, ce
 					}
 					suite.Errors = append(suite.Errors, ce)
 					continue
 				}
-				// The decomposition invariant is checked at merge, where
-				// the final Stats are in hand; a violation discredits the
-				// whole cell, not just its breakdown.
-				if cr.accounts != nil {
-					var bad error
-					for si := range cr.accounts {
-						st := cr.stats[si]
-						if err := cr.accounts[si].Verify(st.Cycles, st.Instrs, st.Nullified); err != nil {
-							bad = err
-							break
-						}
-					}
-					if bad != nil {
-						ce := &CellError{Kernel: k.Name, Model: cell.model, Target: cell.target.Name,
-							Err: fmt.Errorf("cycle accounting: %w", bad)}
-						if opts.FailFast {
-							return nil, ce
-						}
-						suite.Errors = append(suite.Errors, ce)
-						continue
-					}
-				}
 				for si, sc := range simConfigs(cell.target, predictors, windows) {
-					res.Stats[Key{cell.model, sc.Name}] = cr.stats[si]
-					if cr.accounts != nil {
-						res.Accounts[Key{cell.model, sc.Name}] = cr.accounts[si]
+					m := cr.ms[si]
+					res.Stats[Key{cell.model, sc.Name}] = m.Stats
+					if m.Account != nil {
+						res.Accounts[Key{cell.model, sc.Name}] = m.Account
 					}
 				}
 				if cr.pipeline != nil {
@@ -558,9 +515,9 @@ func Run(opts Options) (*Suite, error) {
 		opts.Registry.Counter("cells_failed").Add(int64(failed))
 		opts.Registry.Counter("steps_total").Add(suite.Steps)
 		h := opts.Registry.Histogram("cell_steps", []float64{1e3, 1e4, 1e5, 1e6})
-		for i, cr := range cellRes {
-			if i%stride != 0 && cr != nil {
-				h.Observe(float64(cr.steps))
+		for _, cr := range cellRes {
+			if cr != nil {
+				h.Observe(float64(cr.ms[0].Steps))
 			}
 		}
 	}
@@ -596,7 +553,8 @@ func (r *BenchResult) HasSpeedup(m core.Model, cfg string) bool {
 }
 
 // MeanSpeedup averages the speedup metric across the suite's benchmarks,
-// excluding gaps.
+// excluding gaps (0 when every benchmark is a gap) — the figures' mean
+// row.
 func (s *Suite) MeanSpeedup(m core.Model, cfg string) float64 {
 	sum, n := 0.0, 0
 	for _, r := range s.Results {
@@ -614,7 +572,7 @@ func (s *Suite) MeanSpeedup(m core.Model, cfg string) float64 {
 
 // MeanInstrRatio averages each model's dynamic instruction count relative
 // to the superblock model on the 8-issue 1-branch configuration (Table 2's
-// summary statistic), excluding gaps.
+// mean ratio), excluding gaps (0 when every benchmark is a gap).
 func (s *Suite) MeanInstrRatio(m core.Model) float64 {
 	sum, n := 0.0, 0
 	for _, r := range s.Results {

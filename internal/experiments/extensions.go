@@ -24,27 +24,6 @@ import (
 //     "requires a larger number of registers to hold intermediate values"
 //     (§1) — quantified, and then priced by allocating to finite files.
 
-// measureKernel compiles, emulates and simulates one kernel once.
-func measureKernel(name string, model core.Model, mc machine.Config, mutate func(*core.Options)) (sim.Stats, *core.Compiled, error) {
-	k, err := bench.ByName(name)
-	if err != nil {
-		return sim.Stats{}, nil, err
-	}
-	opts := core.DefaultOptions(mc)
-	if mutate != nil {
-		mutate(&opts)
-	}
-	c, err := core.Compile(k.Build(), model, opts)
-	if err != nil {
-		return sim.Stats{}, nil, err
-	}
-	s := sim.NewTiming(c.Prog, mc)
-	if _, err := emu.Run(c.Prog, emu.Options{Sink: s}); err != nil {
-		return sim.Stats{}, nil, err
-	}
-	return s.Stats(), c, nil
-}
-
 // defaultExtensionKernels is the control-intensive subset used by the
 // extension experiments (running all fifteen would mostly add the
 // FP-dominated kernels, which predication barely touches).
@@ -54,14 +33,18 @@ var defaultExtensionKernels = []string{
 
 // formKernel forms the named kernel for each model family the given
 // models need, deriving the conditional-move form from the fully
-// predicated one as Run does.  Formation reads no machine.
-func formKernel(name string, models []core.Model) (map[core.Model]*core.Formed, error) {
+// predicated one as Run does.  Formation reads no machine; mutate, when
+// non-nil, changes the formation options (the unrolling factor).
+func formKernel(name string, models []core.Model, mutate func(*core.Options)) (map[core.Model]*core.Formed, error) {
 	k, err := bench.ByName(name)
 	if err != nil {
 		return nil, err
 	}
 	src := k.Build()
 	fopts := core.DefaultOptions(machine.Config{})
+	if mutate != nil {
+		mutate(&fopts)
+	}
 	forms := map[core.Model]*core.Formed{}
 	for _, m := range models {
 		base := forms[m.Family()]
@@ -112,7 +95,7 @@ func PenaltySweep(kernels []string, penalties []int) (*Table, error) {
 		sums[i] = make([]float64, len(Models))
 	}
 	for _, name := range kernels {
-		forms, err := formKernel(name, Models)
+		forms, err := formKernel(name, Models, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -177,7 +160,7 @@ func PredDistanceSweep(kernels []string) (*Table, error) {
 	}
 	sums := make([]float64, len(variants))
 	for _, name := range kernels {
-		forms, err := formKernel(name, []core.Model{core.Superblock, core.FullPred})
+		forms, err := formKernel(name, []core.Model{core.Superblock, core.FullPred}, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -202,7 +185,7 @@ func PredDistanceSweep(kernels []string) (*Table, error) {
 
 // RegisterPressure tabulates per-benchmark maximum live register counts
 // for the three models, plus the predicate register demand of the full
-// predication model.
+// predication model.  It reads the scheduled listings and runs none.
 func RegisterPressure(kernels []string) (*Table, error) {
 	if kernels == nil {
 		for _, k := range bench.All() {
@@ -215,10 +198,14 @@ func RegisterPressure(kernels []string) (*Table, error) {
 	}
 	mc := machine.Issue8Br1()
 	for _, name := range kernels {
+		forms, err := formKernel(name, Models, nil)
+		if err != nil {
+			return nil, err
+		}
 		row := []string{name}
 		var fpPreds int
 		for _, model := range Models {
-			_, c, err := measureKernel(name, model, mc, nil)
+			c, err := forms[model].Schedule(core.DefaultOptions(mc))
 			if err != nil {
 				return nil, err
 			}
@@ -247,25 +234,23 @@ func FiniteRegisterSweep(kernels []string, files []int) (*Table, error) {
 		Headers: []string{"Registers", "Superblock", "Cond. Move", "Full Pred."},
 	}
 	mc := machine.Issue8Br1()
-	// Infinite-register baselines.
-	baseline := map[core.Model]map[string]int64{}
-	for _, model := range Models {
-		baseline[model] = map[string]int64{}
-		for _, name := range kernels {
-			st, _, err := measureKernel(name, model, mc, nil)
+	sums := make([][]float64, len(files)) // [file][model]
+	for i := range sums {
+		sums[i] = make([]float64, len(Models))
+	}
+	for _, name := range kernels {
+		forms, err := formKernel(name, Models, nil)
+		if err != nil {
+			return nil, err
+		}
+		for mi, model := range Models {
+			// The infinite-register baseline.
+			base, err := measureFormed(name, forms[model], mc, []machine.Config{mc})
 			if err != nil {
 				return nil, err
 			}
-			baseline[model][name] = st.Cycles
-		}
-	}
-	for _, nregs := range files {
-		row := []string{fmt.Sprintf("%d", nregs)}
-		for _, model := range Models {
-			sum := 0.0
-			for _, name := range kernels {
-				k, _ := bench.ByName(name)
-				c, err := core.Compile(k.Build(), model, core.DefaultOptions(mc))
+			for fi, nregs := range files {
+				c, err := forms[model].Schedule(core.DefaultOptions(mc))
 				if err != nil {
 					return nil, err
 				}
@@ -275,14 +260,23 @@ func FiniteRegisterSweep(kernels []string, files []int) (*Table, error) {
 				}
 				regalloc.GrowMemory(c.Prog, res)
 				c.Prog.AssignAddresses()
-				run, err := emu.Run(c.Prog, emu.Options{Trace: true})
+				code, err := emu.Decode(c.Prog)
+				if err != nil {
+					return nil, err
+				}
+				art := &CellArtifact{Kernel: name, Model: model, Target: mc, Compiled: c, Code: code}
+				ms, err := art.MeasureAll([]machine.Config{mc}, false)
 				if err != nil {
 					return nil, fmt.Errorf("%s %v K=%d: %w", name, model, nregs, err)
 				}
-				st := sim.Simulate(c.Prog, run.Trace, mc)
-				sum += float64(st.Cycles) / float64(baseline[model][name])
+				sums[fi][mi] += float64(ms[0].Stats.Cycles) / float64(base[0].Stats.Cycles)
 			}
-			row = append(row, fmt.Sprintf("%.3f", sum/float64(len(kernels))))
+		}
+	}
+	for fi, nregs := range files {
+		row := []string{fmt.Sprintf("%d", nregs)}
+		for mi := range Models {
+			row = append(row, fmt.Sprintf("%.3f", sums[fi][mi]/float64(len(kernels))))
 		}
 		t.Rows = append(t.Rows, row)
 	}
@@ -342,46 +336,59 @@ func SpectrumTable(kernels []string) (*Table, error) {
 		Title:   "Extension: the predication-support spectrum (mean speedup, 8-issue 1-branch)",
 		Headers: []string{"Support level", "Mean speedup", "Mean instr ratio"},
 	}
-	base := map[string]int64{}
-	baseInstr := map[string]int64{}
-	for _, name := range kernels {
-		st, _, err := measureKernel(name, core.Superblock, machine.Issue1(), nil)
-		if err != nil {
-			return nil, err
-		}
-		base[name] = st.Cycles
-		st8, _, err := measureKernel(name, core.Superblock, machine.Issue8Br1(), nil)
-		if err != nil {
-			return nil, err
-		}
-		baseInstr[name] = st8.Instrs
-	}
 	type level struct {
-		label  string
-		model  core.Model
-		mutate func(*core.Options)
+		label string
+		model core.Model
+		sel   bool // derived with Partial.UseSelect
 	}
+	// The first level, superblock code on the measured machine, is also
+	// the instruction-count baseline.
 	levels := []level{
-		{"none (superblock)", core.Superblock, nil},
-		{"conditional move", core.CondMove, nil},
-		{"conditional move + select", core.CondMove, func(o *core.Options) { o.Partial.UseSelect = true }},
-		{"guard instructions", core.GuardInstr, nil},
-		{"full predication", core.FullPred, nil},
+		{"none (superblock)", core.Superblock, false},
+		{"conditional move", core.CondMove, false},
+		{"conditional move + select", core.CondMove, true},
+		{"guard instructions", core.GuardInstr, false},
+		{"full predication", core.FullPred, false},
 	}
+	sopts := core.DefaultOptions(machine.Config{})
+	sopts.Partial.UseSelect = true
 	mc := machine.Issue8Br1()
-	for _, l := range levels {
-		sumSp, sumIr := 0.0, 0.0
-		for _, name := range kernels {
-			st, _, err := measureKernel(name, l.model, mc, l.mutate)
+	sumSp := make([]float64, len(levels))
+	sumIr := make([]float64, len(levels))
+	for _, name := range kernels {
+		forms, err := formKernel(name, []core.Model{core.Superblock, core.CondMove, core.GuardInstr, core.FullPred}, nil)
+		if err != nil {
+			return nil, err
+		}
+		withSelect, err := forms[core.FullPred].Derive(core.CondMove, sopts)
+		if err != nil {
+			return nil, fmt.Errorf("%s %v + select: %w", name, core.CondMove, err)
+		}
+		base, err := measureFormed(name, forms[core.Superblock], machine.Issue1(), []machine.Config{machine.Issue1()})
+		if err != nil {
+			return nil, err
+		}
+		sts := make([]sim.Stats, len(levels))
+		for li, l := range levels {
+			f := forms[l.model]
+			if l.sel {
+				f = withSelect
+			}
+			ms, err := measureFormed(name, f, mc, []machine.Config{mc})
 			if err != nil {
 				return nil, err
 			}
-			sumSp += float64(base[name]) / float64(st.Cycles)
-			sumIr += float64(st.Instrs) / float64(baseInstr[name])
+			sts[li] = ms[0].Stats
 		}
-		n := float64(len(kernels))
+		for li, st := range sts {
+			sumSp[li] += float64(base[0].Stats.Cycles) / float64(st.Cycles)
+			sumIr[li] += float64(st.Instrs) / float64(sts[0].Instrs)
+		}
+	}
+	n := float64(len(kernels))
+	for li, l := range levels {
 		t.Rows = append(t.Rows, []string{l.label,
-			fmt.Sprintf("%.2f", sumSp/n), fmt.Sprintf("%.2f", sumIr/n)})
+			fmt.Sprintf("%.2f", sumSp[li]/n), fmt.Sprintf("%.2f", sumIr[li]/n)})
 	}
 	return t, nil
 }
@@ -398,40 +405,44 @@ func PredictorTable(kernels []string) (*Table, error) {
 		Title:   "Extension: branch-predictor sensitivity (mean speedup / mean mispredictions, 8-issue 1-branch)",
 		Headers: []string{"Predictor", "Superblock", "Cond. Move", "Full Pred.", "SB mispredicts"},
 	}
-	for _, gshare := range []bool{false, true} {
-		mc := machine.Issue8Br1()
-		mc.Gshare = gshare
-		base := map[string]int64{}
-		for _, name := range kernels {
-			bmc := machine.Issue1()
-			bmc.Gshare = gshare
-			st, _, err := measureKernel(name, core.Superblock, bmc, nil)
+	// The predictor is a front-end structure the scheduler never sees, so
+	// one emulation measures both, a gang lane each: BTB, then gshare.
+	lanes := func(mc machine.Config) []machine.Config {
+		g := mc
+		g.Gshare = true
+		return []machine.Config{mc, g}
+	}
+	labels := []string{"BTB 2-bit (paper)", "gshare"}
+	sums := [2][]float64{make([]float64, len(Models)), make([]float64, len(Models))}
+	var sbMP [2]int64
+	for _, name := range kernels {
+		forms, err := formKernel(name, Models, nil)
+		if err != nil {
+			return nil, err
+		}
+		base, err := measureFormed(name, forms[core.Superblock], machine.Issue1(), lanes(machine.Issue1()))
+		if err != nil {
+			return nil, err
+		}
+		for mi, model := range Models {
+			ms, err := measureFormed(name, forms[model], machine.Issue8Br1(), lanes(machine.Issue8Br1()))
 			if err != nil {
 				return nil, err
 			}
-			base[name] = st.Cycles
-		}
-		label := "BTB 2-bit (paper)"
-		if gshare {
-			label = "gshare"
-		}
-		row := []string{label}
-		var sbMP int64
-		for _, model := range Models {
-			sum := 0.0
-			for _, name := range kernels {
-				st, _, err := measureKernel(name, model, mc, nil)
-				if err != nil {
-					return nil, err
-				}
-				sum += float64(base[name]) / float64(st.Cycles)
+			for pi, m := range ms {
+				sums[pi][mi] += float64(base[pi].Stats.Cycles) / float64(m.Stats.Cycles)
 				if model == core.Superblock {
-					sbMP += st.Mispredicts
+					sbMP[pi] += m.Stats.Mispredicts
 				}
 			}
-			row = append(row, fmt.Sprintf("%.2f", sum/float64(len(kernels))))
 		}
-		row = append(row, fmt.Sprintf("%d", sbMP))
+	}
+	for pi, label := range labels {
+		row := []string{label}
+		for mi := range Models {
+			row = append(row, fmt.Sprintf("%.2f", sums[pi][mi]/float64(len(kernels))))
+		}
+		row = append(row, fmt.Sprintf("%d", sbMP[pi]))
 		t.Rows = append(t.Rows, row)
 	}
 	return t, nil
@@ -448,38 +459,46 @@ func UnrollSweep(kernels []string, factors []int) (*Table, error) {
 		Title:   "Extension: loop unrolling before formation (mean speedup / branches vs factor 1, 8-issue 1-branch)",
 		Headers: []string{"Factor", "Superblock", "Cond. Move", "Full Pred.", "FP branch ratio"},
 	}
-	base := map[string]int64{}
+	// Unrolling changes formation, so each factor forms again; the
+	// baseline keeps the default options.
+	mc := machine.Issue8Br1()
+	sums := make([][]float64, len(factors)) // [factor][model]
+	for i := range sums {
+		sums[i] = make([]float64, len(Models))
+	}
+	fpBranches := make([]int64, len(factors))
 	for _, name := range kernels {
-		st, _, err := measureKernel(name, core.Superblock, machine.Issue1(), nil)
+		sb, err := formKernel(name, []core.Model{core.Superblock}, nil)
 		if err != nil {
 			return nil, err
 		}
-		base[name] = st.Cycles
-	}
-	var fpBranchBase int64
-	for _, factor := range factors {
-		mc := machine.Issue8Br1()
-		mut := func(o *core.Options) { o.Unroll.Factor = factor }
-		row := []string{fmt.Sprintf("%d", factor)}
-		var fpBranches int64
-		for _, model := range Models {
-			sum := 0.0
-			for _, name := range kernels {
-				st, _, err := measureKernel(name, model, mc, mut)
+		base, err := measureFormed(name, sb[core.Superblock], machine.Issue1(), []machine.Config{machine.Issue1()})
+		if err != nil {
+			return nil, err
+		}
+		for fi, factor := range factors {
+			forms, err := formKernel(name, Models, func(o *core.Options) { o.Unroll.Factor = factor })
+			if err != nil {
+				return nil, err
+			}
+			for mi, model := range Models {
+				ms, err := measureFormed(name, forms[model], mc, []machine.Config{mc})
 				if err != nil {
 					return nil, err
 				}
-				sum += float64(base[name]) / float64(st.Cycles)
+				sums[fi][mi] += float64(base[0].Stats.Cycles) / float64(ms[0].Stats.Cycles)
 				if model == core.FullPred {
-					fpBranches += st.Branches
+					fpBranches[fi] += ms[0].Stats.Branches
 				}
 			}
-			row = append(row, fmt.Sprintf("%.2f", sum/float64(len(kernels))))
 		}
-		if factor == factors[0] {
-			fpBranchBase = fpBranches
+	}
+	for fi, factor := range factors {
+		row := []string{fmt.Sprintf("%d", factor)}
+		for mi := range Models {
+			row = append(row, fmt.Sprintf("%.2f", sums[fi][mi]/float64(len(kernels))))
 		}
-		row = append(row, fmt.Sprintf("%.2f", float64(fpBranches)/float64(fpBranchBase)))
+		row = append(row, fmt.Sprintf("%.2f", float64(fpBranches[fi])/float64(fpBranches[0])))
 		t.Rows = append(t.Rows, row)
 	}
 	return t, nil

@@ -96,11 +96,6 @@ func Guard[T any](timeout time.Duration, work func() (T, error)) (T, error) {
 	}
 }
 
-// guardCell is Guard specialized to the matrix-cell result Run collects.
-func guardCell(timeout time.Duration, work func() (*cellResult, error)) (*cellResult, error) {
-	return Guard(timeout, work)
-}
-
 // ErrorReport renders the suite's collected cell failures, one line each,
 // or "" when the run was clean.
 func (s *Suite) ErrorReport() string {

@@ -620,7 +620,7 @@ func (s *Server) computeCell(tr *obs.Trace, key, kernel string, model core.Model
 		ms, err := art.MeasureAll(cfgs, observe)
 		g.marks = append(g.marks, stageMark{"measure", t0, time.Since(t0)})
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("%s %v: %w", art.Kernel, art.Model, err)
 		}
 		g.cfgs, g.ms = cfgs, ms
 		return g, nil
@@ -699,7 +699,7 @@ func (s *Server) artifact(kernel string, model core.Model, cfg machine.Config) (
 		}
 		art, err := experiments.ScheduleCell(kernel, f, target, core.DefaultOptions(target))
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("%s %v @ %s: %w", kernel, model, target.Name, err)
 		}
 		s.artifacts.Add(akey, art)
 		s.storeArtifact(s.artifactStore, akey, art)

@@ -265,7 +265,7 @@ func (s *Server) computeSubmit(tr *obs.Trace, key string, prog *submit.Program, 
 			ms[i], err = art.MeasureAll(cfgs, true)
 			g.marks = append(g.marks, stageMark{"measure", t0, time.Since(t0)})
 			if err != nil {
-				return nil, err
+				return nil, fmt.Errorf("%s %v: %w", art.Kernel, art.Model, err)
 			}
 		}
 		g.cfgs, g.ms = cfgs, ms
