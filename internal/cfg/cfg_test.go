@@ -222,8 +222,4 @@ func TestProfileQueries(t *testing.T) {
 	if p.Weight(b) != 42 {
 		t.Error("Weight")
 	}
-	p.FallExit[b] = 9
-	if p.EdgeWeight(b, nil) != 9 || p.EdgeWeight(b, in) != 30 {
-		t.Error("EdgeWeight")
-	}
 }

@@ -339,11 +339,6 @@ func (lv *Liveness) RegLiveOut(id int, r ir.Reg) bool { return has(lv.out, id, i
 // PredLiveIn reports whether predicate p is live on entry to block id.
 func (lv *Liveness) PredLiveIn(id int, p ir.PReg) bool { return has(lv.in, id, index(lv.predIx, p)) }
 
-// PredLiveOut reports whether predicate p is live on exit from block id.
-func (lv *Liveness) PredLiveOut(id int, p ir.PReg) bool {
-	return has(lv.out, id, index(lv.predIx, p))
-}
-
 // Regs lists, in ascending order, the registers that may be live at some
 // block boundary; no other register is live into or out of any block.
 func (lv *Liveness) Regs() []ir.Reg { return lv.regs }

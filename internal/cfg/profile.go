@@ -41,13 +41,3 @@ func (p *Profile) TakenProb(in *ir.Instr) (float64, int64) {
 	}
 	return float64(t) / float64(total), total
 }
-
-// EdgeWeight estimates the execution count of the edge from block b leaving
-// through branch instruction in (taken edge), or through the block's
-// fallthrough when in is nil.
-func (p *Profile) EdgeWeight(b *ir.Block, in *ir.Instr) int64 {
-	if in == nil {
-		return p.FallExit[b]
-	}
-	return p.Taken[in]
-}

@@ -64,7 +64,7 @@ func TestPipelineTraceRecordsStages(t *testing.T) {
 			}
 		}
 		// The final snapshot describes the program Compile returned.
-		final := tr.Final()
+		final := tr.Stages[len(tr.Stages)-1].IR
 		if got := obs.SnapshotIR(c.Prog); got != final {
 			t.Errorf("%v: final snapshot %+v != emitted program %+v", model, final, got)
 		}

@@ -132,9 +132,6 @@ type Code struct {
 	blocks []*ir.Block // dense block index -> block (profile conversion)
 }
 
-// Program returns the program this code was decoded from.
-func (c *Code) Program() *ir.Program { return c.prog }
-
 // NumUops returns the static instruction count of the decoded program.
 func (c *Code) NumUops() int { return len(c.uops) }
 

@@ -70,9 +70,6 @@ func TestRunObserve(t *testing.T) {
 		t.Errorf("registry marshal: %v", err)
 	}
 
-	if agg := suite.AggregateBreakdown(Models[0], "issue8-br1"); agg == nil {
-		t.Error("no aggregate breakdown for superblock @ issue8-br1")
-	}
 	bt := suite.BreakdownTable("issue8-br1")
 	if !strings.Contains(bt.String(), "Full Predication") {
 		t.Errorf("breakdown table missing model rows:\n%s", bt)

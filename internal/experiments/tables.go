@@ -54,6 +54,15 @@ func (t *Table) String() string {
 // gapCell tags a matrix cell whose measurement failed (see Suite.Errors).
 const gapCell = "n/a"
 
+// meanCell renders a suite mean, or a gap when no benchmark measured it:
+// the means average positive ratios, so they are 0 only then.
+func meanCell(format string, mean float64) string {
+	if mean == 0 {
+		return gapCell
+	}
+	return fmt.Sprintf(format, mean)
+}
+
 // speedupFigure renders one of the paper's speedup figures.  Failed cells
 // render as tagged gaps and are excluded from the means.
 func (s *Suite) speedupFigure(title, cfg string) *Table {
@@ -61,30 +70,21 @@ func (s *Suite) speedupFigure(title, cfg string) *Table {
 		Title:   title,
 		Headers: []string{"Benchmark", "Superblock", "Cond. Move", "Full Pred."},
 	}
-	sums := [3]float64{}
-	counts := [3]int{}
 	for _, r := range s.Results {
 		row := []string{r.Name}
-		for i, m := range Models {
+		for _, m := range Models {
 			if !r.HasSpeedup(m, cfg) {
 				row = append(row, gapCell)
 				continue
 			}
-			sp := r.Speedup(m, cfg)
-			sums[i] += sp
-			counts[i]++
-			row = append(row, fmt.Sprintf("%.2f", sp))
+			row = append(row, fmt.Sprintf("%.2f", r.Speedup(m, cfg)))
 		}
 		t.Rows = append(t.Rows, row)
 	}
 	if len(s.Results) > 0 {
 		row := []string{"mean"}
-		for i := range Models {
-			if counts[i] == 0 {
-				row = append(row, gapCell)
-				continue
-			}
-			row = append(row, fmt.Sprintf("%.2f", sums[i]/float64(counts[i])))
+		for _, m := range Models {
+			row = append(row, meanCell("%.2f", s.MeanSpeedup(m, cfg)))
 		}
 		t.Rows = append(t.Rows, row)
 	}
@@ -120,36 +120,23 @@ func (s *Suite) Table2() *Table {
 		Headers: []string{"Benchmark", "Superblk", "Cond. Move", "Full Pred."},
 	}
 	const cfg = "issue8-br1"
-	var ratioCM, ratioFP float64
-	var nCM, nFP int
 	for _, r := range s.Results {
 		row := []string{r.Name, gapCell, gapCell, gapCell}
 		if r.Has(core.Superblock, cfg) {
 			base := r.Stat(core.Superblock, cfg).Instrs
 			row[1] = fmtCount(base)
-			if r.Has(core.CondMove, cfg) {
-				cm := r.Stat(core.CondMove, cfg).Instrs
-				ratioCM += float64(cm) / float64(base)
-				nCM++
-				row[2] = fmt.Sprintf("%s (%.2f)", fmtCount(cm), float64(cm)/float64(base))
-			}
-			if r.Has(core.FullPred, cfg) {
-				fp := r.Stat(core.FullPred, cfg).Instrs
-				ratioFP += float64(fp) / float64(base)
-				nFP++
-				row[3] = fmt.Sprintf("%s (%.2f)", fmtCount(fp), float64(fp)/float64(base))
+			for i, m := range Models[1:] {
+				if r.Has(m, cfg) {
+					n := r.Stat(m, cfg).Instrs
+					row[2+i] = fmt.Sprintf("%s (%.2f)", fmtCount(n), float64(n)/float64(base))
+				}
 			}
 		}
 		t.Rows = append(t.Rows, row)
 	}
 	if len(s.Results) > 0 {
-		mean := func(sum float64, n int) string {
-			if n == 0 {
-				return gapCell
-			}
-			return fmt.Sprintf("(%.2f)", sum/float64(n))
-		}
-		t.Rows = append(t.Rows, []string{"mean ratio", "1.00", mean(ratioCM, nCM), mean(ratioFP, nFP)})
+		t.Rows = append(t.Rows, []string{"mean ratio", "1.00",
+			meanCell("(%.2f)", s.MeanInstrRatio(core.CondMove)), meanCell("(%.2f)", s.MeanInstrRatio(core.FullPred))})
 	}
 	return t
 }
@@ -179,22 +166,6 @@ func (s *Suite) Table3() *Table {
 		t.Rows = append(t.Rows, row)
 	}
 	return t
-}
-
-// AggregateBreakdown sums the cycle accounts of every benchmark for one
-// model/config cell.  It returns nil when the suite ran without
-// Options.Observe or no cell of that key was measured.
-func (s *Suite) AggregateBreakdown(m core.Model, cfg string) *obs.CycleAccount {
-	var agg *obs.CycleAccount
-	for _, r := range s.Results {
-		if a, ok := r.Accounts[Key{m, cfg}]; ok {
-			if agg == nil {
-				agg = &obs.CycleAccount{}
-			}
-			agg.Add(a)
-		}
-	}
-	return agg
 }
 
 // BreakdownTable renders the stall-cycle decomposition of every benchmark

@@ -60,19 +60,3 @@ func Lower(p *ir.Program) int {
 	}
 	return inserted
 }
-
-// Count returns the number of guard instructions in the program (for
-// tests and statistics).
-func Count(p *ir.Program) int {
-	n := 0
-	for _, f := range p.Funcs {
-		for _, b := range f.LiveBlocks(nil) {
-			for _, in := range b.Instrs {
-				if in.Op == ir.GuardApply {
-					n++
-				}
-			}
-		}
-	}
-	return n
-}

@@ -98,15 +98,3 @@ func addSucc(dst []int, start, id int) []int {
 	}
 	return append(dst, id)
 }
-
-// BranchSites appends the indices of all control-transfer instructions
-// (conditional branches and guarded/unguarded jumps) within the block to dst
-// and returns it.
-func (b *Block) BranchSites(dst []int) []int {
-	for i, in := range b.Instrs {
-		if in.Op.IsBranch() {
-			dst = append(dst, i)
-		}
-	}
-	return dst
-}

@@ -182,9 +182,6 @@ func (in *Instr) PredDefs(dst []PReg) []PReg {
 	return dst
 }
 
-// Guarded reports whether the instruction carries a real guard predicate.
-func (in *Instr) Guarded() bool { return in.Guard != PNone }
-
 // String renders the instruction in the paper's assembly style, e.g.
 //
 //	pred_eq p1_OR, p3_U~, r4, 0 (p2)

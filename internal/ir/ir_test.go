@@ -35,9 +35,6 @@ func TestOpClassification(t *testing.T) {
 			t.Errorf("%v cannot except", op)
 		}
 	}
-	if !Load.IsMemory() || !Store.IsMemory() || Add.IsMemory() {
-		t.Error("memory classification wrong")
-	}
 	if Store.HasDst() || Jump.HasDst() || PredDef.HasDst() {
 		t.Error("HasDst wrong for side-effect ops")
 	}
@@ -370,21 +367,6 @@ func TestEndsUnconditionally(t *testing.T) {
 	b.Instrs[0] = &Instr{Op: Ret}
 	if !b.EndsUnconditionally() {
 		t.Error("ret ends the block")
-	}
-}
-
-func TestBranchSites(t *testing.T) {
-	f := NewFunc("t")
-	b := f.EntryBlock()
-	tgt := f.NewBlock()
-	tgt.Append(&Instr{Op: Halt})
-	b.Append(NewInstr(Mov, f.NewReg(), Imm(1)))
-	b.Append(NewBranch(EQ, R(1), Imm(0), tgt.ID))
-	b.Append(NewInstr(Mov, f.NewReg(), Imm(2)))
-	b.Append(&Instr{Op: Jump, Target: tgt.ID})
-	sites := b.BranchSites(nil)
-	if len(sites) != 2 || sites[0] != 1 || sites[1] != 3 {
-		t.Errorf("branch sites %v", sites)
 	}
 }
 

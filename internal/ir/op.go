@@ -153,9 +153,6 @@ func (o Op) IsCondBranch() bool {
 	return false
 }
 
-// IsMemory reports whether the opcode accesses memory.
-func (o Op) IsMemory() bool { return o == Load || o == Store }
-
 // IsCompare reports whether the opcode is an integer or floating-point
 // comparison writing a boolean result to an integer register.
 func (o Op) IsCompare() bool {

@@ -7,15 +7,10 @@ package ir
 // own guard, giving every such predicate a path through a tree of
 // conditions rooted at "always true".
 //
-// The tree answers two queries used throughout the compiler:
-//
-//   - Disjoint(p, q): p and q can never be true together (their paths
-//     diverge at a common define on opposite comparison sides), which lets
-//     the scheduler ignore dependences between instructions guarded by
-//     sibling paths of an if-converted diamond or switch;
-//   - Implies(p, q): whenever p is true q is also true (q's path is a
-//     prefix of p's), which lets predicate promotion ignore exits that
-//     postdominate an instruction's own guard condition.
+// The tree answers Disjoint(p, q): p and q can never be true together
+// (their paths diverge at a common define on opposite comparison sides),
+// which lets the scheduler ignore dependences between instructions
+// guarded by sibling paths of an if-converted diamond or switch.
 type PredTree struct {
 	nodes map[PReg]predTreeNode
 }
@@ -99,25 +94,4 @@ func (t *PredTree) Disjoint(p, q PReg) bool {
 		}
 	}
 	return false // one path is a prefix of the other
-}
-
-// Implies reports whether p true guarantees q true: q's condition path is a
-// prefix of p's.  Implies(p, PNone) is always true.
-func (t *PredTree) Implies(p, q PReg) bool {
-	if q == PNone {
-		return true
-	}
-	if p == q {
-		return true
-	}
-	pp, pq := t.Path(p), t.Path(q)
-	if pp == nil || pq == nil || len(pq) > len(pp) {
-		return false
-	}
-	for i := range pq {
-		if pq[i].Def != pp[i].Def || pq[i].Negate != pp[i].Negate {
-			return false
-		}
-	}
-	return true
 }

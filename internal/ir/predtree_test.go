@@ -43,38 +43,6 @@ func TestPredTreeDisjointChain(t *testing.T) {
 	}
 }
 
-func TestPredTreeImplies(t *testing.T) {
-	ins, ps := chain()
-	tr := BuildPredTree(ins)
-	pa, pb, pc, n1, n2, n3 := ps[0], ps[1], ps[2], ps[3], ps[4], ps[5]
-	cases := []struct {
-		p, q PReg
-		want bool
-	}{
-		{pb, n1, true}, // arm B requires surviving test 1
-		{pc, n2, true}, // arm C requires surviving test 2
-		{pc, n1, true}, // ... transitively
-		{n3, n1, true},
-		{pa, n1, false}, // arm A is the opposite side of test 1
-		{n1, pb, false}, // weaker does not imply stronger
-		{pa, pb, false},
-	}
-	for _, c := range cases {
-		if got := tr.Implies(c.p, c.q); got != c.want {
-			t.Errorf("Implies(%v, %v) = %v, want %v", c.p, c.q, got, c.want)
-		}
-	}
-	if !tr.Implies(pa, PNone) || !tr.Implies(PNone, PNone) {
-		t.Error("everything implies true")
-	}
-	if tr.Implies(PNone, pa) {
-		t.Error("true does not imply a condition")
-	}
-	if !tr.Implies(pa, pa) {
-		t.Error("reflexivity")
-	}
-}
-
 // TestPredTreeExcludesMultiWrite: predicates written twice (or by OR-type
 // deposits) are not tree members and yield no facts.
 func TestPredTreeExcludesMultiWrite(t *testing.T) {
@@ -92,12 +60,12 @@ func TestPredTreeExcludesMultiWrite(t *testing.T) {
 		NewPredDef(EQ, PredDest{p2, PredU}, PredDest{}, R(1), Imm(1), PNone),
 	}
 	tr2 := BuildPredTree(orIns)
-	if tr2.Disjoint(p1, p2) || tr2.Implies(p1, p2) {
+	if tr2.Disjoint(p1, p2) {
 		t.Error("OR-type destination must not participate")
 	}
 }
 
-// TestPredTreeSemantics validates Disjoint/Implies against brute-force
+// TestPredTreeSemantics validates Disjoint against brute-force
 // evaluation of all input combinations on the chain.
 func TestPredTreeSemantics(t *testing.T) {
 	ins, ps := chain()
@@ -127,20 +95,14 @@ func TestPredTreeSemantics(t *testing.T) {
 	}
 	for _, p := range ps {
 		for _, q := range ps {
-			coTrue, pImpQ := false, true
+			coTrue := false
 			for _, w := range worlds {
 				if w[p] && w[q] {
 					coTrue = true
 				}
-				if w[p] && !w[q] {
-					pImpQ = false
-				}
 			}
 			if tr.Disjoint(p, q) && coTrue {
 				t.Errorf("Disjoint(%v,%v) claimed but both true in some world", p, q)
-			}
-			if tr.Implies(p, q) && !pImpQ {
-				t.Errorf("Implies(%v,%v) claimed but violated", p, q)
 			}
 		}
 	}

@@ -100,16 +100,6 @@ func (b *Breakdown) Total() int64 {
 	return t
 }
 
-// Stalls sums the stall categories (everything but CauseIssued).
-func (b *Breakdown) Stalls() int64 { return b.Total() - b[CauseIssued] }
-
-// Add accumulates another breakdown into b (suite-level aggregation).
-func (b *Breakdown) Add(o *Breakdown) {
-	for i, v := range o {
-		b[i] += v
-	}
-}
-
 // Verify checks the accounting invariant against the run's cycle count.
 func (b *Breakdown) Verify(cycles int64) error {
 	if t := b.Total(); t != cycles {
@@ -184,17 +174,6 @@ type CycleAccount struct {
 	Fetched [NumClasses]int64
 	// Nullified counts the guard-suppressed subset per class.
 	Nullified [NumClasses]int64
-}
-
-// Add accumulates another account into a (suite-level aggregation).
-func (a *CycleAccount) Add(o *CycleAccount) {
-	a.Breakdown.Add(&o.Breakdown)
-	for i, v := range o.Fetched {
-		a.Fetched[i] += v
-	}
-	for i, v := range o.Nullified {
-		a.Nullified[i] += v
-	}
 }
 
 // MarshalJSON renders the account as its breakdown plus the instruction

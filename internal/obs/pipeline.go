@@ -59,19 +59,6 @@ func SnapshotIR(p *ir.Program) IRStats {
 	return st
 }
 
-// Sub returns the component-wise delta st - prev.
-func (st IRStats) Sub(prev IRStats) IRStats {
-	return IRStats{
-		Instrs:      st.Instrs - prev.Instrs,
-		Blocks:      st.Blocks - prev.Blocks,
-		PredDefines: st.PredDefines - prev.PredDefines,
-		Guarded:     st.Guarded - prev.Guarded,
-		Branches:    st.Branches - prev.Branches,
-		CondMoves:   st.CondMoves - prev.CondMoves,
-		MaxBlockLen: st.MaxBlockLen - prev.MaxBlockLen,
-	}
-}
-
 // StageRecord is one pipeline stage's measurement: what the stage cost in
 // wall time and what the program looked like when it finished.
 type StageRecord struct {
@@ -131,31 +118,4 @@ func (t *PipelineTrace) Inherit(from *PipelineTrace) {
 	}
 	t.HyperblockSizes = append(t.HyperblockSizes, from.HyperblockSizes...)
 	from.handed = true
-}
-
-// Delta returns stage i's IR change relative to the previous stage (the
-// first stage's delta is its absolute snapshot against an empty program).
-func (t *PipelineTrace) Delta(i int) IRStats {
-	if i == 0 {
-		return t.Stages[0].IR
-	}
-	return t.Stages[i].IR.Sub(t.Stages[i-1].IR)
-}
-
-// TotalWall sums every stage's wall time.
-func (t *PipelineTrace) TotalWall() float64 {
-	var s float64
-	for _, st := range t.Stages {
-		s += st.WallSeconds
-	}
-	return s
-}
-
-// Final returns the last recorded snapshot (the emitted program) or the
-// zero IRStats when nothing was recorded.
-func (t *PipelineTrace) Final() IRStats {
-	if len(t.Stages) == 0 {
-		return IRStats{}
-	}
-	return t.Stages[len(t.Stages)-1].IR
 }

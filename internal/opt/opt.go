@@ -40,11 +40,7 @@ func Cleanup(f *ir.Func) {
 	}
 }
 
-// RemoveUnreachable marks blocks unreachable from the entry as dead.
-func RemoveUnreachable(f *ir.Func) bool {
-	return removeUnreachable(f, cfg.NewGraph(f))
-}
-
+// removeUnreachable marks blocks unreachable from the entry as dead.
 func removeUnreachable(f *ir.Func, g *cfg.Graph) bool {
 	changed := false
 	for _, b := range f.Blocks {
@@ -292,14 +288,10 @@ func LocalCSE(f *ir.Func) bool {
 	return changed
 }
 
-// DeadCodeElim removes instructions whose results are never used.  Only
+// deadCodeElim removes instructions whose results are never used.  Only
 // side-effect-free instructions are removed: stores, control transfers, and
 // potentially excepting non-silent operations are kept.  Predicate defines
 // are removed when none of their destinations are live.
-func DeadCodeElim(f *ir.Func) bool {
-	return deadCodeElim(f, cfg.NewGraph(f))
-}
-
 func deadCodeElim(f *ir.Func, g *cfg.Graph) bool {
 	lv := cfg.ComputeLiveness(g)
 	live := lv.Walker()

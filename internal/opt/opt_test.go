@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"predication/internal/builder"
+	"predication/internal/cfg"
 	"predication/internal/emu"
 	"predication/internal/ir"
 	"predication/internal/progen"
@@ -114,7 +115,7 @@ func TestDCERemovesDeadKeepsLive(t *testing.T) {
 	b.Append(ir.NewInstr(ir.Add, live, ir.Imm(3), ir.Imm(4)))
 	b.Append(ir.NewInstr(ir.Store, ir.RNone, ir.Imm(0), ir.Imm(10), ir.R(live)))
 	b.Append(&ir.Instr{Op: ir.Halt})
-	DeadCodeElim(f)
+	deadCodeElim(f, cfg.NewGraph(f))
 	if len(b.Instrs) != 3 {
 		t.Fatalf("got %d instrs, want 3 (dead add removed): %v", len(b.Instrs), b.Instrs)
 	}
@@ -132,13 +133,13 @@ func TestDCEKeepsExceptingAndStores(t *testing.T) {
 	// A non-silent load whose result is unused must stay (it can trap).
 	b.Append(ir.NewInstr(ir.Load, r, ir.Imm(1<<30), ir.Imm(0)))
 	b.Append(&ir.Instr{Op: ir.Halt})
-	DeadCodeElim(f)
+	deadCodeElim(f, cfg.NewGraph(f))
 	if len(b.Instrs) != 2 {
 		t.Error("potentially trapping load removed")
 	}
 	// Its silent version is removable.
 	b.Instrs[0].Silent = true
-	DeadCodeElim(f)
+	deadCodeElim(f, cfg.NewGraph(f))
 	if len(b.Instrs) != 1 {
 		t.Error("dead silent load kept")
 	}
@@ -157,7 +158,7 @@ func TestDCEPredicateDefines(t *testing.T) {
 	b.Append(g)
 	b.Append(ir.NewInstr(ir.Store, ir.RNone, ir.Imm(0), ir.Imm(10), ir.R(r)))
 	b.Append(&ir.Instr{Op: ir.Halt})
-	DeadCodeElim(f)
+	deadCodeElim(f, cfg.NewGraph(f))
 	n := 0
 	for _, in := range b.Instrs {
 		if in.Op == ir.PredDef {
@@ -224,7 +225,7 @@ func TestRemoveUnreachable(t *testing.T) {
 	orphan := f.Block("orphan")
 	orphan.Halt()
 	prog := pb.P // skip verification: orphan blocks are fine pre-cleanup
-	RemoveUnreachable(prog.Funcs[0])
+	removeUnreachable(prog.Funcs[0], cfg.NewGraph(prog.Funcs[0]))
 	if !prog.Funcs[0].Blocks[orphan.ID()].Dead {
 		t.Error("unreachable block not marked dead")
 	}

@@ -91,10 +91,3 @@ func (c *Cache) Add(key string, val any) {
 		c.evictions.Inc()
 	}
 }
-
-// Len reports the current entry count.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
-}

@@ -54,7 +54,7 @@ func TestFormedLayerCounts(t *testing.T) {
 			}
 		}
 	}
-	if n := s.formed.Len(); n != 2 {
+	if n := s.formed.entries(); n != 2 {
 		t.Errorf("formed cache holds %d programs, want 2 (full, cmov)", n)
 	}
 }

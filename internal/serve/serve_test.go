@@ -286,7 +286,7 @@ func TestRequestTimeout(t *testing.T) {
 	if rec.Code != http.StatusGatewayTimeout {
 		t.Fatalf("expired deadline: status %d, want 504: %s", rec.Code, rec.Body.String())
 	}
-	if s.results.Len() != 0 {
+	if s.results.entries() != 0 {
 		t.Error("timed-out computation was cached")
 	}
 }
@@ -368,7 +368,7 @@ func TestArtifactSharing(t *testing.T) {
 	if h := rec.Header().Get("X-Cache"); h != "hit" {
 		t.Errorf("sibling cell X-Cache = %q, want \"hit\" (gang fill)", h)
 	}
-	if n := s.artifacts.Len(); n != 1 {
+	if n := s.artifacts.entries(); n != 1 {
 		t.Errorf("artifact cache holds %d entries for two configs sharing one schedule, want 1", n)
 	}
 	snap := s.Registry().Snapshot()

@@ -71,7 +71,7 @@ func TestBreakdownIssueWidth(t *testing.T) {
 	if err := acct.Verify(st.Cycles, st.Instrs, st.Nullified); err != nil {
 		t.Fatal(err)
 	}
-	stalls := acct.Breakdown.Stalls()
+	stalls := acct.Breakdown.Total() - acct.Breakdown[obs.CauseIssued]
 	if stalls == 0 || acct.Breakdown[obs.CauseIssueWidth] != stalls {
 		t.Errorf("want all %d stall cycles on issue width, got breakdown %v", stalls, acct.Breakdown)
 	}

@@ -258,9 +258,6 @@ func outcomeRows(n int) [][]uint8 {
 	return rows
 }
 
-// Config returns lane i's machine configuration.
-func (g *Gang) Config(i int) machine.Config { return g.lanes[i].cfg }
-
 // Stats returns lane i's statistics accumulated so far.  Cycles is the
 // latest issue cycle plus one — for an out-of-order lane the highest, as
 // issue is not monotone there — and zero for an empty trace.
@@ -299,10 +296,6 @@ func (g *Gang) Instrument(i int, a *obs.CycleAccount) {
 	// Stats.Cycles = prevIssue + 1.
 	l.acctPrev = -1
 }
-
-// Account returns lane i's attached cycle account (nil when the lane is
-// uninstrumented).
-func (g *Gang) Account(i int) *obs.CycleAccount { return g.lanes[i].acct }
 
 // Event advances every lane by one dynamic instruction.  It implements
 // emu.TraceSink; the model logic lives in the batch path.
@@ -463,8 +456,8 @@ func (g *Gang) chunk(evs []emu.Event) {
 // very next cycle, which by construction also issued the instructions
 // that filled the slots): a cycle on which the machine issued but turned
 // an instruction away for bandwidth is charged to that limit, so
-// CauseIssued counts only unconstrained issue cycles and
-// Breakdown.Stalls() reads as "cycles that were empty or saturated".
+// CauseIssued counts only unconstrained issue cycles and every other
+// cause counts cycles that were empty or saturated.
 //
 // The attribution costs the uninstrumented lane nothing: laneReplay is
 // instantiated twice (laneMode), and in the plainLane instantiation the

@@ -149,8 +149,8 @@ func TestGangMixedInstrumentation(t *testing.T) {
 	g := NewGang(c.Prog, cfgs)
 	var a obs.CycleAccount
 	g.Instrument(1, &a)
-	if g.Account(1) != &a || g.Account(0) != nil {
-		t.Fatal("Account does not reflect per-lane instrumentation")
+	if g.lanes[1].acct != &a || g.lanes[0].acct != nil {
+		t.Fatal("lane accounts do not reflect per-lane instrumentation")
 	}
 	feedGang(g, res.Trace)
 	for i, cfg := range cfgs {

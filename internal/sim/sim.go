@@ -276,9 +276,6 @@ func (s *Simulator) Stats() Stats { return s.g.Stats(0) }
 // Instrument attaches a cycle account (see Gang.Instrument).
 func (s *Simulator) Instrument(a *obs.CycleAccount) { s.g.Instrument(0, a) }
 
-// Account returns the attached cycle account (nil when uninstrumented).
-func (s *Simulator) Account() *obs.CycleAccount { return s.g.Account(0) }
-
 // Simulate runs a materialized trace through the configured processor
 // model and returns timing statistics.  It is the slice-backed wrapper for
 // callers that already hold a []emu.Event; streaming callers pass a
