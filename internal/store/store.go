@@ -322,14 +322,19 @@ func readRecord(path string) ([]byte, error) {
 	if n > maxPayload {
 		return nil, fmt.Errorf("store: implausible payload length %d", n)
 	}
+	// A record is exactly header+payload.  Checking the file's size before
+	// allocating means a corrupt length costs nothing, and a truncated or
+	// padded file is refused before any payload is read.
+	info, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	if size := info.Size(); uint64(size) != headerSize+n {
+		return nil, fmt.Errorf("store: %d-byte file, header claims %d payload bytes", size, n)
+	}
 	payload := make([]byte, n)
 	if _, err := io.ReadFull(f, payload); err != nil {
 		return nil, fmt.Errorf("store: short payload: %w", err)
-	}
-	// A record is exactly header+payload; trailing garbage means the
-	// file is not what the header claims.
-	if extra, err := f.Read(make([]byte, 1)); err != io.EOF || extra != 0 {
-		return nil, errors.New("store: trailing bytes after payload")
 	}
 	if sum := sha256.Sum256(payload); string(sum[:]) != string(hdr[20:52]) {
 		return nil, errors.New("store: payload digest mismatch")

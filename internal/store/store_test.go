@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -111,42 +112,52 @@ func TestMissingIsMiss(t *testing.T) {
 // TestCorruptRecordsQuarantined: table-driven hostile records — every
 // way a file can fail validation reads as a miss, moves the file into
 // quarantine/, and leaves the namespace clean for a rewrite.
+// goodRecord renders a well-formed record file holding payload.
+func goodRecord(payload []byte) []byte {
+	var hdr [headerSize]byte
+	copy(hdr[0:8], magic)
+	binary.BigEndian.PutUint32(hdr[8:12], version)
+	binary.BigEndian.PutUint64(hdr[12:20], uint64(len(payload)))
+	sum := sha256.Sum256(payload)
+	copy(hdr[20:52], sum[:])
+	return append(hdr[:], payload...)
+}
+
+// corruptions turns a good record into each way a record file can be
+// wrong.
+var corruptions = []struct {
+	name    string
+	corrupt func([]byte) []byte
+}{
+	{"empty file", func(r []byte) []byte { return nil }},
+	{"truncated header", func(r []byte) []byte { return r[:headerSize/2] }},
+	{"truncated payload", func(r []byte) []byte { return r[:len(r)-4] }},
+	{"bad magic", func(r []byte) []byte {
+		r[0] ^= 0xff
+		return r
+	}},
+	{"future version", func(r []byte) []byte {
+		binary.BigEndian.PutUint32(r[8:12], version+7)
+		return r
+	}},
+	{"flipped payload bit", func(r []byte) []byte {
+		r[headerSize] ^= 0x01
+		return r
+	}},
+	{"trailing garbage", func(r []byte) []byte { return append(r, 0xEE) }},
+	{"implausible length", func(r []byte) []byte {
+		binary.BigEndian.PutUint64(r[12:20], maxPayload+1)
+		return r
+	}},
+	{"length beyond the file", func(r []byte) []byte {
+		binary.BigEndian.PutUint64(r[12:20], maxPayload)
+		return r
+	}},
+}
+
 func TestCorruptRecordsQuarantined(t *testing.T) {
-	goodRecord := func(payload []byte) []byte {
-		var hdr [headerSize]byte
-		copy(hdr[0:8], magic)
-		binary.BigEndian.PutUint32(hdr[8:12], version)
-		binary.BigEndian.PutUint64(hdr[12:20], uint64(len(payload)))
-		sum := sha256.Sum256(payload)
-		copy(hdr[20:52], sum[:])
-		return append(hdr[:], payload...)
-	}
 	payload := []byte("payload bytes")
-	cases := []struct {
-		name    string
-		corrupt func([]byte) []byte
-	}{
-		{"empty file", func(r []byte) []byte { return nil }},
-		{"truncated header", func(r []byte) []byte { return r[:headerSize/2] }},
-		{"truncated payload", func(r []byte) []byte { return r[:len(r)-4] }},
-		{"bad magic", func(r []byte) []byte {
-			r[0] ^= 0xff
-			return r
-		}},
-		{"future version", func(r []byte) []byte {
-			binary.BigEndian.PutUint32(r[8:12], version+7)
-			return r
-		}},
-		{"flipped payload bit", func(r []byte) []byte {
-			r[headerSize] ^= 0x01
-			return r
-		}},
-		{"trailing garbage", func(r []byte) []byte { return append(r, 0xEE) }},
-		{"implausible length", func(r []byte) []byte {
-			binary.BigEndian.PutUint64(r[12:20], maxPayload+1)
-			return r
-		}},
-	}
+	cases := corruptions
 	for i, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -160,8 +171,17 @@ func TestCorruptRecordsQuarantined(t *testing.T) {
 			if err := os.WriteFile(s.path(key), rec, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			if _, ok := s.Get(key); ok {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, ok := s.Get(key)
+			runtime.ReadMemStats(&after)
+			if ok {
 				t.Fatal("corrupt record served as a hit")
+			}
+			// Rejecting a record never allocates the length its header
+			// claims.
+			if n := after.TotalAlloc - before.TotalAlloc; n > 1<<20 {
+				t.Errorf("rejecting the record allocated %d bytes", n)
 			}
 			if _, err := os.Stat(s.path(key)); !os.IsNotExist(err) {
 				t.Error("corrupt record still present in the namespace")
@@ -183,6 +203,42 @@ func TestCorruptRecordsQuarantined(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzReadRecord drives arbitrary bytes through readRecord, the check
+// behind every disk hit.  It must never panic, it must accept exactly the
+// well-formed records (magic, version, a length equal to the bytes after
+// the header, and their digest), and for those it returns the bytes after
+// the header.  Seeds: a good record and each corruption of it.
+func FuzzReadRecord(f *testing.F) {
+	payload := []byte("payload bytes")
+	f.Add(goodRecord(payload))
+	for _, c := range corruptions {
+		f.Add(c.corrupt(goodRecord(payload)))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "record")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, err := readRecord(path)
+		wellFormed := len(data) >= headerSize &&
+			string(data[0:8]) == magic &&
+			binary.BigEndian.Uint32(data[8:12]) == version &&
+			binary.BigEndian.Uint64(data[12:20]) == uint64(len(data)-headerSize)
+		if wellFormed {
+			sum := sha256.Sum256(data[headerSize:])
+			wellFormed = bytes.Equal(sum[:], data[20:52])
+		}
+		switch {
+		case wellFormed && err != nil:
+			t.Fatalf("well-formed record refused: %v", err)
+		case !wellFormed && err == nil:
+			t.Fatal("malformed record accepted")
+		case wellFormed && !bytes.Equal(got, data[headerSize:]):
+			t.Fatal("accepted record's payload differs from the bytes after its header")
+		}
+	})
 }
 
 // TestCrashMidWriteLeavesNoReadableRecord: a writer that dies before the
