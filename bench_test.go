@@ -270,11 +270,11 @@ func BenchmarkAblationExceptingConversion(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		r, err := emu.Run(c.Prog, emu.Options{Trace: true})
-		if err != nil {
+		s := sim.NewTiming(c.Prog, mc)
+		if _, err := emu.Run(c.Prog, emu.Options{Sink: s}); err != nil {
 			b.Fatal(err)
 		}
-		return sim.Simulate(c.Prog, r.Trace, mc)
+		return s.Stats()
 	}
 	var a, c, d sim.Stats
 	for i := 0; i < b.N; i++ {
@@ -388,26 +388,33 @@ func BenchmarkEmulate(b *testing.B) {
 	}
 }
 
+// recorder collects the emulator's event stream for replay.
+type recorder struct{ evs []emu.Event }
+
+func (r *recorder) EventBatch(evs []emu.Event) { r.evs = append(r.evs, evs...) }
+
+// BenchmarkSimulate times the simulator alone, replaying a recorded
+// event stream.
 func BenchmarkSimulate(b *testing.B) {
 	k, _ := bench.ByName("wc")
 	c, err := core.Compile(k.Build(), core.FullPred, core.DefaultOptions(machine.Issue8Br1()))
 	if err != nil {
 		b.Fatal(err)
 	}
-	run, err := emu.Run(c.Prog, emu.Options{Trace: true})
-	if err != nil {
+	var rec recorder
+	if _, err := emu.Run(c.Prog, emu.Options{Sink: &rec}); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		sim.Simulate(c.Prog, run.Trace, machine.Issue8Br1())
+		sim.NewTiming(c.Prog, machine.Issue8Br1()).EventBatch(rec.evs)
 	}
 }
 
 // BenchmarkSimulateStreaming times the emulate+simulate path with the
 // trace streamed into the simulator, never materialized — the harness's
 // per-run configuration (contrast with BenchmarkSimulate, which replays a
-// prebuilt slice).
+// recorded stream).
 func BenchmarkSimulateStreaming(b *testing.B) {
 	k, _ := bench.ByName("wc")
 	c, err := core.Compile(k.Build(), core.FullPred, core.DefaultOptions(machine.Issue8Br1()))

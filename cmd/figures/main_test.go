@@ -317,6 +317,15 @@ func TestCellTimeoutValidation(t *testing.T) {
 	}
 }
 
+// TestWindowFlagBound: a -window past machine.MaxWindowSize fails with a
+// one-line error before the suite runs.
+func TestWindowFlagBound(t *testing.T) {
+	err := run([]string{"-bench", "wc", "-window", "0,4097"}, io.Discard, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "invalid window 4097") || strings.Contains(err.Error(), "\n") {
+		t.Errorf("error = %v, want a one-line invalid window 4097", err)
+	}
+}
+
 // TestPredictorMatrixFlag: -predictor widens the matrix with suffixed
 // configuration cells (visible through -stats-json), and a bad list
 // fails with a one-line error before the suite runs.

@@ -48,10 +48,15 @@ func safeRun(args []string, out io.Writer) (err error) {
 	return run(args, out)
 }
 
-// countingSink tallies dynamic executions per static instruction.
-type countingSink map[*ir.Instr]int
+// countingSink tallies dynamic executions per static instruction, indexed
+// by event ID.
+type countingSink []int
 
-func (c countingSink) Event(ev emu.Event) { c[ev.In]++ }
+func (c countingSink) EventBatch(evs []emu.Event) {
+	for _, ev := range evs {
+		c[ev.ID]++
+	}
+}
 
 // run parses args, compiles the selected program under the selected model,
 // simulates it, and writes the report to out.
@@ -133,8 +138,8 @@ func run(args []string, out io.Writer) error {
 	default:
 		return fmt.Errorf("unknown predictor %q (want btb or gshare)", *predictorName)
 	}
-	if *window < 0 {
-		return fmt.Errorf("-window %d: window size cannot be negative (0 = in-order)", *window)
+	if *window < 0 || *window > machine.MaxWindowSize {
+		return fmt.Errorf("-window %d: want 0 (in-order) or a window size from 1 to %d", *window, machine.MaxWindowSize)
 	}
 	if *window > 0 {
 		mc.OoO = true
@@ -194,7 +199,7 @@ func run(args []string, out io.Writer) error {
 	sinks := emu.FanoutSink{s}
 	var counts countingSink
 	if *schedule {
-		counts = countingSink{}
+		counts = make(countingSink, c.Prog.NumInstrs())
 		sinks = append(sinks, counts)
 	}
 	var tracer *obs.TraceWriter
@@ -204,7 +209,7 @@ func run(args []string, out io.Writer) error {
 			return err
 		}
 		defer tf.Close()
-		tracer, err = obs.NewTraceWriter(tf, obs.TraceOptions{
+		tracer, err = obs.NewTraceWriter(tf, c.Prog, obs.TraceOptions{
 			Format: obs.TraceFormat(*traceFormat),
 			Sample: *traceSample,
 			Limit:  *traceLimit,
@@ -214,11 +219,7 @@ func run(args []string, out io.Writer) error {
 		}
 		sinks = append(sinks, tracer)
 	}
-	var sink emu.TraceSink = s
-	if len(sinks) > 1 {
-		sink = sinks
-	}
-	runRes, err := emu.Run(c.Prog, emu.Options{Sink: sink})
+	runRes, err := emu.Run(c.Prog, emu.Options{Sink: sinks})
 	if err != nil {
 		return err
 	}
@@ -241,7 +242,7 @@ func run(args []string, out io.Writer) error {
 			for _, blk := range fn.LiveBlocks(nil) {
 				n := 0
 				for _, in := range blk.Instrs {
-					n += counts[in]
+					n += counts[in.Addr/ir.InstrBytes]
 				}
 				if n > bestN {
 					best, bestN = blk, n

@@ -152,6 +152,8 @@ func TestErrors(t *testing.T) {
 		{"-model", "nosuchmodel"},
 		{"-machine", "nosuchmachine"},
 		{"-file", "/nonexistent/path.psasm"},
+		{"-window", "-1"},
+		{"-window", "4097"},
 	}
 	for _, args := range cases {
 		var sb strings.Builder

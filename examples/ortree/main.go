@@ -73,11 +73,11 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		run, err := emu.Run(c.Prog, emu.Options{Trace: true})
-		if err != nil {
+		s := sim.NewTiming(c.Prog, mc)
+		if _, err := emu.Run(c.Prog, emu.Options{Sink: s}); err != nil {
 			log.Fatal(err)
 		}
-		st := sim.Simulate(c.Prog, run.Trace, mc)
+		st := s.Stats()
 		label := "with OR-tree reduction"
 		if noPeephole {
 			label = "linear OR chain (peephole disabled)"
@@ -90,10 +90,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	run, err := emu.Run(c.Prog, emu.Options{Trace: true})
-	if err != nil {
+	s := sim.NewTiming(c.Prog, mc)
+	if _, err := emu.Run(c.Prog, emu.Options{Sink: s}); err != nil {
 		log.Fatal(err)
 	}
-	st := sim.Simulate(c.Prog, run.Trace, mc)
+	st := s.Stats()
 	fmt.Printf("%-38s cycles=%-7d IPC=%.2f\n", "full predication", st.Cycles, st.IPC())
 }

@@ -71,11 +71,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	runB, err := emu.Run(cb.Prog, emu.Options{Trace: true})
-	if err != nil {
+	sb := sim.NewTiming(cb.Prog, base)
+	if _, err := emu.Run(cb.Prog, emu.Options{Sink: sb}); err != nil {
 		log.Fatal(err)
 	}
-	baseCycles := sim.Simulate(cb.Prog, runB.Trace, base).Cycles
+	baseCycles := sb.Stats().Cycles
 
 	fmt.Printf("%-18s %9s %9s %9s %8s %12s\n",
 		"model", "cycles", "instrs", "branches", "mispred", "speedup-vs-1")
@@ -84,11 +84,11 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		run, err := emu.Run(c.Prog, emu.Options{Trace: true})
-		if err != nil {
+		s := sim.NewTiming(c.Prog, mc)
+		if _, err := emu.Run(c.Prog, emu.Options{Sink: s}); err != nil {
 			log.Fatal(err)
 		}
-		st := sim.Simulate(c.Prog, run.Trace, mc)
+		st := s.Stats()
 		fmt.Printf("%-18v %9d %9d %9d %8d %11.2fx\n",
 			model, st.Cycles, st.Instrs, st.Branches, st.Mispredicts,
 			float64(baseCycles)/float64(st.Cycles))

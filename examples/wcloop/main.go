@@ -33,11 +33,11 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		run, err := emu.Run(c.Prog, emu.Options{Trace: true})
-		if err != nil {
+		s := sim.NewTiming(c.Prog, mc)
+		if _, err := emu.Run(c.Prog, emu.Options{Sink: s}); err != nil {
 			log.Fatal(err)
 		}
-		st := sim.Simulate(c.Prog, run.Trace, mc)
+		st := s.Stats()
 		fmt.Printf("=== %v ===\n", model)
 		fmt.Printf("cycles=%d  dynamic instrs=%d  branches=%d  mispredicts=%d (%.2f%%)\n",
 			st.Cycles, st.Instrs, st.Branches, st.Mispredicts, 100*st.MispredictRate())

@@ -10,23 +10,31 @@ import (
 	"predication/internal/sim"
 )
 
-// profileOf runs a kernel with profiling.
-func profileOf(t *testing.T, p *ir.Program) (*cfg.Profile, *emu.Result) {
+// recorder collects the emulator's event stream.
+type recorder struct{ evs []emu.Event }
+
+func (r *recorder) EventBatch(evs []emu.Event) { r.evs = append(r.evs, evs...) }
+
+// profileOf runs a kernel with profiling.  It returns the profile, the
+// dynamic trace, and the static instructions indexed by event ID.
+func profileOf(t *testing.T, p *ir.Program) (*cfg.Profile, []emu.Event, []*ir.Instr) {
 	t.Helper()
 	p.Normalize()
 	prof := cfg.NewProfile()
-	res, err := emu.Run(p, emu.Options{Profile: prof, Trace: true})
-	if err != nil {
+	var rec recorder
+	if _, err := emu.Run(p, emu.Options{Profile: prof, Sink: &rec}); err != nil {
 		t.Fatal(err)
 	}
-	return prof, res
+	var instrs []*ir.Instr
+	p.ForEachInstr(func(_ int, in *ir.Instr) { instrs = append(instrs, in) })
+	return prof, rec.evs, instrs
 }
 
 // branchFraction computes the dynamic branch fraction of a trace.
-func branchFraction(trace []emu.Event) float64 {
+func branchFraction(trace []emu.Event, instrs []*ir.Instr) float64 {
 	br := 0
 	for _, ev := range trace {
-		if ev.In.Op.IsBranch() {
+		if instrs[ev.ID].Op.IsBranch() {
 			br++
 		}
 	}
@@ -38,8 +46,8 @@ func branchFraction(trace []emu.Event) float64 {
 // loop has 14 branches in 34 instructions).  Our kernel must be similarly
 // branch heavy.
 func TestWcCharacter(t *testing.T) {
-	_, res := profileOf(t, Wc().Build())
-	if f := branchFraction(res.Trace); f < 0.30 {
+	_, trace, instrs := profileOf(t, Wc().Build())
+	if f := branchFraction(trace, instrs); f < 0.30 {
 		t.Errorf("wc branch fraction %.2f, want >= 0.30", f)
 	}
 }
@@ -48,7 +56,7 @@ func TestWcCharacter(t *testing.T) {
 // branch-combining threshold) so the Figure 6 transformations apply.
 func TestGrepCharacter(t *testing.T) {
 	p := Grep().Build()
-	prof, _ := profileOf(t, p)
+	prof, _, _ := profileOf(t, p)
 	rare := 0
 	for _, f := range p.Funcs {
 		for _, b := range f.LiveBlocks(nil) {
@@ -72,18 +80,18 @@ func TestGrepCharacter(t *testing.T) {
 // floating-point codes, where predication has little to work on.
 func TestFPKernelsAreBranchLight(t *testing.T) {
 	for _, k := range []*Kernel{Alvinn(), Ear()} {
-		_, res := profileOf(t, k.Build())
-		if f := branchFraction(res.Trace); f > 0.30 {
+		_, trace, instrs := profileOf(t, k.Build())
+		if f := branchFraction(trace, instrs); f > 0.30 {
 			t.Errorf("%s branch fraction %.2f, want light", k.Name, f)
 		}
 		// And they must actually use floating point.
 		fp := 0
-		for _, ev := range res.Trace {
-			if ev.In.Op.IsFloat() {
+		for _, ev := range trace {
+			if instrs[ev.ID].Op.IsFloat() {
 				fp++
 			}
 		}
-		if float64(fp)/float64(len(res.Trace)) < 0.15 {
+		if float64(fp)/float64(len(trace)) < 0.15 {
 			t.Errorf("%s floating-point fraction too low", k.Name)
 		}
 	}
@@ -114,11 +122,11 @@ func TestCompressTableExceedsCache(t *testing.T) {
 	p := Compress().Build()
 	p.Normalize()
 	p.AssignAddresses()
-	res, err := emu.Run(p, emu.Options{Trace: true})
-	if err != nil {
+	s := sim.NewTiming(p, machine.Issue8Br1Cache())
+	if _, err := emu.Run(p, emu.Options{Sink: s}); err != nil {
 		t.Fatal(err)
 	}
-	st := sim.Simulate(p, res.Trace, machine.Issue8Br1Cache())
+	st := s.Stats()
 	if st.DCacheMisses < 1000 {
 		t.Errorf("compress D-cache misses %d; the hash tables should not fit", st.DCacheMisses)
 	}
@@ -136,12 +144,12 @@ func TestEqnFootprint(t *testing.T) {
 // iteration, giving the loop-carried chain that penalizes conditional
 // moves.
 func TestScSerialChain(t *testing.T) {
-	_, res := profileOf(t, Sc().Build())
+	_, trace, instrs := profileOf(t, Sc().Build())
 	// Count writes to the accumulator register (r4 by construction order:
 	// i, op, v, acc...).  Identify it as the most-written register.
 	writes := map[ir.Reg]int{}
-	for _, ev := range res.Trace {
-		if d := ev.In.DefReg(); d != ir.RNone && !ev.Nullified() {
+	for _, ev := range trace {
+		if d := instrs[ev.ID].DefReg(); d != ir.RNone && !ev.Nullified() {
 			writes[d]++
 		}
 	}

@@ -123,7 +123,7 @@ type fnInfo struct {
 type Code struct {
 	prog   *ir.Program
 	uops   []uop
-	instrs []*ir.Instr // uop index -> source instruction (Event.In)
+	instrs []*ir.Instr // uop index -> source instruction (profile keys, errors)
 	meta   []uopMeta   // uop index -> cold state
 	fall   []int32     // uop index -> edge index (-1: plain mid-block fall)
 	taken  []int32     // uop index -> edge index (-1: not a jump/branch)

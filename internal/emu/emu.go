@@ -31,13 +31,14 @@ const (
 	FlagTaken
 )
 
-// Event is one dynamic instruction in the trace.
+// Event is one dynamic instruction in the trace: which static instruction
+// ran, the memory word it touched and whether it was nullified or redirected
+// fetch.  Sinks look up anything else about the instruction by ID.
 type Event struct {
-	In *ir.Instr
 	// ID is the instruction's index in the program's static layout order
-	// (ir.Program.ForEachInstr), so ID*ir.InstrBytes == In.Addr once
-	// addresses are assigned.  Sinks use it to index pre-decoded
-	// per-instruction tables instead of hashing In.
+	// (ir.Program.ForEachInstr), so ID*ir.InstrBytes is its code address
+	// once addresses are assigned.  Sinks use it to index pre-decoded
+	// per-instruction tables.
 	ID    int32
 	Addr  int32 // memory word address touched by Load/Store, else 0
 	Flags uint8
@@ -49,71 +50,32 @@ func (e Event) Nullified() bool { return e.Flags&FlagNullified != 0 }
 // Taken reports whether a control transfer redirected fetch.
 func (e Event) Taken() bool { return e.Flags&FlagTaken != 0 }
 
-// A TraceSink consumes the dynamic instruction stream as the emulator
-// produces it, one Event per fetched instruction in program order.  It is
-// how the timing simulator (sim.Simulator) overlaps with emulation without
-// the run ever materializing the trace: memory stays O(1) in the dynamic
-// instruction count instead of O(n).  Event values share the underlying
-// *ir.Instr with the emulator; sinks must not retain or modify it beyond
-// the fields of the Event itself.
-type TraceSink interface {
-	Event(ev Event)
-}
-
-// BatchSink is an optional TraceSink extension.  The fast interpreter
-// detects it and delivers events in buffered batches (in stream order,
-// with a final flush before Run returns) instead of one interface call
-// per step; a sink that processes events cheaply should implement it.
-// The batch slice is reused between calls: sinks must not retain it.
+// A BatchSink consumes the dynamic instruction stream as the emulator
+// produces it, in program order, in batches of up to 512 events with a
+// final flush before Run returns.  It is how the timing simulator
+// (sim.Gang) overlaps with emulation without the run ever materializing
+// the trace: memory stays O(1) in the dynamic instruction count.  The
+// batch slice is reused between calls: sinks must not retain it.
 type BatchSink interface {
-	TraceSink
 	EventBatch(evs []Event)
 }
 
-// SliceSink is the materializing TraceSink: it collects every event into
-// Events, reproducing the Trace option's []Event for consumers that need
-// random access (stage dumps, ablation benches, differential tests).
-type SliceSink struct {
-	Events []Event
-}
-
-// Event appends ev to the slice.
-func (s *SliceSink) Event(ev Event) { s.Events = append(s.Events, ev) }
-
 // FanoutSink replicates the event stream to several sinks, so one
-// emulation pass can feed every simulator configuration of an experiment
-// cell at once.
-type FanoutSink []TraceSink
+// emulation pass can feed every consumer of a run at once.
+type FanoutSink []BatchSink
 
-// Event forwards ev to every sink in order.
-func (f FanoutSink) Event(ev Event) {
-	for _, s := range f {
-		s.Event(ev)
-	}
-}
-
-// EventBatch implements BatchSink: batch-capable members receive the
-// whole run at once, the rest get it one event at a time.
+// EventBatch forwards the batch to every sink in order.
 func (f FanoutSink) EventBatch(evs []Event) {
 	for _, s := range f {
-		if b, ok := s.(BatchSink); ok {
-			b.EventBatch(evs)
-		} else {
-			for i := range evs {
-				s.Event(evs[i])
-			}
-		}
+		s.EventBatch(evs)
 	}
 }
 
 // Options configures an emulation run.
 type Options struct {
-	// Trace enables dynamic trace collection into Result.Trace.
-	Trace bool
 	// Sink, when non-nil, receives every dynamic instruction as it
-	// executes.  Independent of Trace: setting only Sink streams the trace
-	// without materializing it.
-	Sink TraceSink
+	// executes.
+	Sink BatchSink
 	// Profile, when non-nil, accumulates block and branch frequencies.
 	Profile *cfg.Profile
 	// MaxSteps bounds execution (0 means the 500M default).
@@ -124,7 +86,6 @@ const defaultMaxSteps = 500_000_000
 
 // Result reports the outcome of an emulation run.
 type Result struct {
-	Trace []Event
 	Mem   []int64
 	Steps int64
 }

@@ -11,6 +11,11 @@ import (
 	"predication/internal/ir"
 )
 
+// recorder collects the emulator's event stream.
+type recorder struct{ evs []Event }
+
+func (r *recorder) EventBatch(evs []Event) { r.evs = append(r.evs, evs...) }
+
 // run executes a single-block program built by fill and returns final
 // memory.
 func run(t *testing.T, memWords int, fill func(f *builder.Fn, b *builder.Blk)) *Result {
@@ -115,7 +120,9 @@ func TestGuardSuppression(t *testing.T) {
 	b.B.Append(add1, add2)
 	b.Store(0, 10, r)
 	b.Halt()
-	res, err := Run(p.Program(), Options{Trace: true})
+	prog := p.Program()
+	var rec recorder
+	res, err := Run(prog, Options{Sink: &rec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,12 +130,22 @@ func TestGuardSuppression(t *testing.T) {
 		t.Errorf("got %d, want 11 (guarded add2 must be nullified)", res.Word(10))
 	}
 	// The nullified instruction appears in the trace flagged as such.
+	var id1, id2, id int32
+	prog.ForEachInstr(func(_ int, in *ir.Instr) {
+		switch in {
+		case add1:
+			id1 = id
+		case add2:
+			id2 = id
+		}
+		id++
+	})
 	var sawNullified bool
-	for _, ev := range res.Trace {
-		if ev.In == add2 && ev.Nullified() {
+	for _, ev := range rec.evs {
+		if ev.ID == id2 && ev.Nullified() {
 			sawNullified = true
 		}
-		if ev.In == add1 && ev.Nullified() {
+		if ev.ID == id1 && ev.Nullified() {
 			t.Error("add1 must not be nullified")
 		}
 	}

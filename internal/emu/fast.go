@@ -12,11 +12,11 @@ import (
 // file (immediates live in pooled slots after the architectural
 // registers), control flows through pre-resolved uop indices, and call
 // frames are pooled (a Ret parks its frame; a later JSR at the same depth
-// re-zeroes and reuses it).  Events are only materialized when a sink or
-// trace wants them — and a sink that implements BatchSink receives them
-// in buffered batches, amortizing the interface dispatch — profile
-// counters live in dense arrays consulted off the no-profile path, and
-// errors are the only other allocation sites — all off the hot path.
+// re-zeroes and reuses it).  Events are only built when a sink wants
+// them, and the sink receives them in buffered batches, so there is no
+// per-event interface call; profile counters live in dense arrays
+// consulted off the no-profile path, and errors are the only other
+// allocation sites — all off the hot path.
 
 // fastFrame is one pooled call frame.
 type fastFrame struct {
@@ -29,7 +29,7 @@ type fastFrame struct {
 // maxCallDepth bounds the number of saved callers.
 const maxCallDepth = 1024
 
-// eventBatchLen is the flush threshold of the batched sink path: big
+// eventBatchLen is the flush threshold of the sink's batches: big
 // enough to amortize the per-batch dispatch, small enough that the buffer
 // stays cache-resident while the sink re-reads it.
 const eventBatchLen = 512
@@ -55,22 +55,16 @@ func (c *Code) Run(opts Options) (*Result, error) {
 	copy(mem, c.prog.Data)
 	res := &Result{Mem: mem}
 
-	doTrace := opts.Trace
+	// The sink gets events in buffered runs.  The deferred flush covers
+	// every return path, so the sink has seen the full stream (in order)
+	// by the time Run's caller regains control.
 	sink := opts.Sink
-	tracing := doTrace || sink != nil
-
-	// A batch-capable sink gets events in buffered runs instead of one
-	// interface call per step.  The deferred flush covers every return
-	// path, so the sink has seen the full stream (in order) by the time
-	// Run's caller regains control.
 	var batch []Event
-	var bsink BatchSink
-	if b, ok := sink.(BatchSink); ok {
-		bsink = b
+	if sink != nil {
 		batch = make([]Event, 0, eventBatchLen)
 		defer func() {
 			if len(batch) > 0 {
-				bsink.EventBatch(batch)
+				sink.EventBatch(batch)
 			}
 		}()
 	}
@@ -168,26 +162,11 @@ func (c *Code) Run(opts Options) (*Result, error) {
 		// Predicate defines are special: their destination-update logic runs
 		// regardless of the input predicate value (Table 1: Pin=0 rows).
 		if !guardTrue && u.op != ir.PredDef {
-			// The batch-sink arm leads: it is the steady state of the
-			// benchmark and experiment harnesses, and ordering it first
-			// keeps the per-step check count minimal on that path.
-			if bsink != nil {
-				ev := Event{In: c.instrs[pc], ID: pc, Flags: FlagNullified}
-				if doTrace {
-					res.Trace = append(res.Trace, ev)
-				}
-				batch = append(batch, ev)
+			if sink != nil {
+				batch = append(batch, Event{ID: pc, Flags: FlagNullified})
 				if len(batch) == eventBatchLen {
-					bsink.EventBatch(batch)
+					sink.EventBatch(batch)
 					batch = batch[:0]
-				}
-			} else if tracing {
-				ev := Event{In: c.instrs[pc], ID: pc, Flags: FlagNullified}
-				if doTrace {
-					res.Trace = append(res.Trace, ev)
-				}
-				if sink != nil {
-					sink.Event(ev)
 				}
 			}
 			if prof != nil {
@@ -212,16 +191,8 @@ func (c *Code) Run(opts Options) (*Result, error) {
 			// model: the predicate semantics live in the Guard fields of
 			// the covered instructions.
 		case ir.Halt:
-			if tracing {
-				ev := Event{In: c.instrs[pc], ID: pc}
-				if doTrace {
-					res.Trace = append(res.Trace, ev)
-				}
-				if bsink != nil {
-					batch = append(batch, ev)
-				} else if sink != nil {
-					sink.Event(ev)
-				}
+			if sink != nil {
+				batch = append(batch, Event{ID: pc})
 			}
 			res.Steps = steps
 			return res, nil
@@ -369,31 +340,15 @@ func (c *Code) Run(opts Options) (*Result, error) {
 				brNotTaken[pc]++
 			}
 		}
-		if bsink != nil {
+		if sink != nil {
 			var fl uint8
 			if taken {
 				fl = FlagTaken
 			}
-			ev := Event{In: c.instrs[pc], ID: pc, Addr: evAddr, Flags: fl}
-			if doTrace {
-				res.Trace = append(res.Trace, ev)
-			}
-			batch = append(batch, ev)
+			batch = append(batch, Event{ID: pc, Addr: evAddr, Flags: fl})
 			if len(batch) == eventBatchLen {
-				bsink.EventBatch(batch)
+				sink.EventBatch(batch)
 				batch = batch[:0]
-			}
-		} else if tracing {
-			var fl uint8
-			if taken {
-				fl = FlagTaken
-			}
-			ev := Event{In: c.instrs[pc], ID: pc, Addr: evAddr, Flags: fl}
-			if doTrace {
-				res.Trace = append(res.Trace, ev)
-			}
-			if sink != nil {
-				sink.Event(ev)
 			}
 		}
 

@@ -39,18 +39,28 @@ func newFNV() fnv { return 14695981039346656037 }
 func (h *fnv) add(v uint64) { *h = (*h ^ fnv(v)) * 1099511628211 }
 
 // eventHash folds every event into a running hash, so a full trace
-// comparison never materializes the (multi-million event) traces.
+// comparison never materializes the (multi-million event) traces.  pc
+// maps an event ID to its instruction's code address.
 type eventHash struct {
-	h fnv
-	n int64
+	h  fnv
+	n  int64
+	pc []int32
 }
 
-func (s *eventHash) Event(ev emu.Event) {
-	s.h.add(uint64(uint32(ev.ID)))
-	s.h.add(uint64(uint32(ev.Addr)))
-	s.h.add(uint64(ev.Flags))
-	s.h.add(uint64(uint32(ev.In.Addr)))
-	s.n++
+func newEventHash(p *ir.Program) *eventHash {
+	s := &eventHash{h: newFNV()}
+	p.ForEachInstr(func(_ int, in *ir.Instr) { s.pc = append(s.pc, in.Addr) })
+	return s
+}
+
+func (s *eventHash) EventBatch(evs []emu.Event) {
+	for _, ev := range evs {
+		s.h.add(uint64(uint32(ev.ID)))
+		s.h.add(uint64(uint32(ev.Addr)))
+		s.h.add(uint64(ev.Flags))
+		s.h.add(uint64(uint32(s.pc[ev.ID])))
+		s.n++
+	}
 }
 
 // golden is one recorded reference file: the expected line per key (the
@@ -127,7 +137,8 @@ func memHash(mem []int64) uint64 {
 
 // TestFastMatchesLegacyAllKernels is the suite-wide differential test:
 // every kernel × model must reproduce the reference interpreter's run —
-// the event stream (hash over ID, Addr, Flags, In.Addr, and the count),
+// the event stream (hash over ID, Addr, Flags, the code address, and the
+// count),
 // the step count, and the final memory image.
 func TestFastMatchesLegacyAllKernels(t *testing.T) {
 	g := loadGolden(t, "testdata/golden_events.txt")
@@ -140,7 +151,7 @@ func TestFastMatchesLegacyAllKernels(t *testing.T) {
 				if err != nil {
 					t.Fatalf("compile: %v", err)
 				}
-				hash := &eventHash{h: newFNV()}
+				hash := newEventHash(c.Prog)
 				res, err := emu.Run(c.Prog, emu.Options{Sink: hash})
 				if err != nil {
 					t.Fatalf("emulate: %v", err)

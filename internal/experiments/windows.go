@@ -21,18 +21,19 @@ import (
 // across the whole window axis of a cell.
 
 // normalizeWindows validates a window list: nil or empty defaults to
-// {0} (the in-order machine).  0 selects the in-order model, any
-// positive value an out-of-order window of that many entries; negatives
-// and duplicates are rejected (duplicates would create colliding matrix
-// keys).  The first listed window keeps the bare configuration names.
+// {0} (the in-order machine).  0 selects the in-order model, any value
+// from 1 to machine.MaxWindowSize an out-of-order window of that many
+// entries; other values and duplicates are rejected (duplicates would
+// create colliding matrix keys).  The first listed window keeps the bare
+// configuration names.
 func normalizeWindows(ws []int) ([]int, error) {
 	if len(ws) == 0 {
 		return []int{0}, nil
 	}
 	seen := map[int]bool{}
 	for _, w := range ws {
-		if w < 0 {
-			return nil, fmt.Errorf("experiments: invalid window %d (want 0 for in-order, or a positive instruction-window size)", w)
+		if w < 0 || w > machine.MaxWindowSize {
+			return nil, fmt.Errorf("experiments: invalid window %d (want 0 for in-order, or an instruction-window size from 1 to %d)", w, machine.MaxWindowSize)
 		}
 		if seen[w] {
 			return nil, fmt.Errorf("experiments: duplicate window %d", w)
@@ -65,16 +66,16 @@ func applyWindow(cfg machine.Config, w int, primary bool) machine.Config {
 
 // ApplyWindow specializes a bare machine configuration for one window
 // given as a string: "" or "0" leaves the in-order configuration bare,
-// any positive integer selects the out-of-order scheduler and suffixes
-// the configuration name.  It is the single-config form of the
+// an integer from 1 to machine.MaxWindowSize selects the out-of-order
+// scheduler and suffixes the configuration name.  It is the single-config form of the
 // Options.Windows axis, used by the serving daemon's ?window= parameter.
 func ApplyWindow(cfg machine.Config, window string) (machine.Config, error) {
 	if window == "" || window == "0" {
 		return cfg, nil
 	}
 	w, err := strconv.Atoi(window)
-	if err != nil || w < 1 {
-		return machine.Config{}, fmt.Errorf("experiments: invalid window %q (want a positive instruction-window size, or 0/empty for in-order)", window)
+	if err != nil || w < 1 || w > machine.MaxWindowSize {
+		return machine.Config{}, fmt.Errorf("experiments: invalid window %q (want an instruction-window size from 1 to %d, or 0/empty for in-order)", window, machine.MaxWindowSize)
 	}
 	return applyWindow(cfg, w, false), nil
 }

@@ -66,6 +66,9 @@ func TestWindowAxisValidation(t *testing.T) {
 	if _, err := SimConfigNames(nil, []int{0, 0}); err == nil {
 		t.Error("SimConfigNames accepted duplicate windows")
 	}
+	if _, err := SimConfigNames(nil, []int{0, machine.MaxWindowSize + 1}); err == nil {
+		t.Error("SimConfigNames accepted a window past machine.MaxWindowSize")
+	}
 	names, err := SimConfigNames([]string{"btb", "gshare"}, []int{0, 32})
 	if err != nil {
 		t.Fatal(err)
@@ -111,7 +114,10 @@ func TestApplyWindow(t *testing.T) {
 	if got := SchedTarget(cfg); got.Name != "issue8-br1" {
 		t.Errorf("SchedTarget(%s) = %s, want issue8-br1", cfg.Name, got.Name)
 	}
-	for _, bad := range []string{"-1", "x", "1.5", "0x10"} {
+	if cfg, err := ApplyWindow(base, "4096"); err != nil || cfg.Validate() != nil {
+		t.Errorf("ApplyWindow(4096) = %v; the largest window must apply and validate", err)
+	}
+	for _, bad := range []string{"-1", "x", "1.5", "0x10", "4097", "4000000000"} {
 		if _, err := ApplyWindow(base, bad); err == nil {
 			t.Errorf("ApplyWindow(%q) accepted", bad)
 		}

@@ -73,11 +73,17 @@ type Config struct {
 	OoO bool
 
 	// WindowSize is the instruction-window entry count for OoO
-	// configurations (must be ≥ 1 when OoO is set, 0 otherwise).  A
-	// window of 1 degenerates to the in-order model: dispatch waits for
+	// configurations (1 to MaxWindowSize when OoO is set, 0 otherwise).
+	// A window of 1 degenerates to the in-order model: dispatch waits for
 	// the previous instruction to issue.
 	WindowSize int
 }
+
+// MaxWindowSize bounds WindowSize.  The simulator allocates its window
+// and issue-slot rings up front, about 40 bytes per entry, so a window
+// named in a request must not size them; 4096 is 128 times the 32-entry
+// window every workload uses.
+const MaxWindowSize = 4096
 
 // Validate checks the constraints the simulators assume.  Geometry: BTB
 // entry counts and cache line/block counts must be powers of two, because
@@ -88,7 +94,7 @@ type Config struct {
 // the simulator's slot-allocation loop spin forever (slots reset to zero
 // on every bumped cycle, so `slots < width` never becomes true).  Penalty
 // fields must be non-negative, and the OoO window size must be consistent
-// with the OoO flag.
+// with the OoO flag and at most MaxWindowSize.
 func (c Config) Validate() error {
 	if c.IssueWidth < 1 {
 		return fmt.Errorf("machine %s: IssueWidth = %d, must be at least 1 (a zero-width machine can never issue)", c.Name, c.IssueWidth)
@@ -106,8 +112,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("machine %s: PredicateDistance = %d, must be non-negative", c.Name, c.PredicateDistance)
 	}
 	if c.OoO {
-		if c.WindowSize < 1 {
-			return fmt.Errorf("machine %s: OoO set but WindowSize = %d, must be at least 1", c.Name, c.WindowSize)
+		if c.WindowSize < 1 || c.WindowSize > MaxWindowSize {
+			return fmt.Errorf("machine %s: OoO set but WindowSize = %d, must be between 1 and %d", c.Name, c.WindowSize, MaxWindowSize)
 		}
 	} else if c.WindowSize != 0 {
 		return fmt.Errorf("machine %s: WindowSize = %d without OoO (the in-order model has no instruction window)", c.Name, c.WindowSize)

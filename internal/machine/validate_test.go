@@ -76,6 +76,8 @@ func TestValidateBandwidthAndPenalties(t *testing.T) {
 		{"window without ooo", func(c *Config) { c.WindowSize = 16 }, "WindowSize"},
 		{"ooo window of one", func(c *Config) { c.OoO = true; c.WindowSize = 1 }, ""},
 		{"ooo window of thirty-two", func(c *Config) { c.OoO = true; c.WindowSize = 32 }, ""},
+		{"ooo largest window", func(c *Config) { c.OoO = true; c.WindowSize = MaxWindowSize }, ""},
+		{"ooo window past the bound", func(c *Config) { c.OoO = true; c.WindowSize = 4097 }, "WindowSize"},
 	}
 	for _, tt := range tests {
 		cfg := Issue8Br1()

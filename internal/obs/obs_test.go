@@ -123,7 +123,7 @@ func traceProgram(t *testing.T) (*ir.Program, int64) {
 func TestTraceWriterChrome(t *testing.T) {
 	prog, steps := traceProgram(t)
 	var sb strings.Builder
-	tw, err := NewTraceWriter(&sb, TraceOptions{Format: FormatChrome})
+	tw, err := NewTraceWriter(&sb, prog, TraceOptions{Format: FormatChrome})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestTraceWriterChrome(t *testing.T) {
 func TestTraceWriterJSONLSamplingAndLimit(t *testing.T) {
 	prog, steps := traceProgram(t) // 10 steps: 9 adds + halt
 	var sb strings.Builder
-	tw, err := NewTraceWriter(&sb, TraceOptions{Format: FormatJSONL, Sample: 3, Limit: 3})
+	tw, err := NewTraceWriter(&sb, prog, TraceOptions{Format: FormatJSONL, Sample: 3, Limit: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestTraceWriterJSONLSamplingAndLimit(t *testing.T) {
 }
 
 func TestTraceWriterRejectsUnknownFormat(t *testing.T) {
-	if _, err := NewTraceWriter(&strings.Builder{}, TraceOptions{Format: "xml"}); err == nil {
+	if _, err := NewTraceWriter(&strings.Builder{}, nil, TraceOptions{Format: "xml"}); err == nil {
 		t.Fatal("unknown format accepted")
 	}
 }

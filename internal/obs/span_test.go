@@ -106,7 +106,7 @@ func TestWriteChromeAndBreakdown(t *testing.T) {
 	b[CauseICache] = 1000
 
 	var buf bytes.Buffer
-	tw, err := NewTraceWriter(&buf, TraceOptions{Format: FormatChrome})
+	tw, err := NewTraceWriter(&buf, nil, TraceOptions{Format: FormatChrome})
 	if err != nil {
 		t.Fatal(err)
 	}

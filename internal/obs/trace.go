@@ -6,6 +6,7 @@ import (
 	"io"
 
 	"predication/internal/emu"
+	"predication/internal/ir"
 )
 
 // TraceFormat selects the structured trace encoding.
@@ -37,13 +38,14 @@ type TraceOptions struct {
 }
 
 // TraceWriter renders the dynamic instruction stream as a structured
-// trace.  It implements emu.TraceSink and emu.BatchSink, so it can ride
-// the same fanout as the timing simulator; it is only ever constructed
-// when tracing is requested (-trace-out), leaving the zero-allocation
-// emulation path untouched otherwise.  Callers must Close it to flush
-// buffers and terminate the JSON document.
+// trace.  It implements emu.BatchSink, so it can ride the same fanout as
+// the timing simulator; it is only ever constructed when tracing is
+// requested (-trace-out), leaving the zero-allocation emulation path
+// untouched otherwise.  Callers must Close it to flush buffers and
+// terminate the JSON document.
 type TraceWriter struct {
 	w       *bufio.Writer
+	instrs  []*ir.Instr // event ID -> static instruction
 	format  TraceFormat
 	sample  int64
 	limit   int64
@@ -53,8 +55,11 @@ type TraceWriter struct {
 	closed  bool
 }
 
-// NewTraceWriter creates a trace sink writing to w.
-func NewTraceWriter(w io.Writer, opt TraceOptions) (*TraceWriter, error) {
+// NewTraceWriter creates a trace writer for p's event stream writing to
+// w.  Each event's opcode and code address are looked up by its ID in p's
+// layout order (ir.Program.ForEachInstr).  A writer that renders only
+// spans (Complete) takes a nil program.
+func NewTraceWriter(w io.Writer, p *ir.Program, opt TraceOptions) (*TraceWriter, error) {
 	if opt.Format == "" {
 		opt.Format = FormatChrome
 	}
@@ -70,27 +75,25 @@ func NewTraceWriter(w io.Writer, opt TraceOptions) (*TraceWriter, error) {
 		sample: opt.Sample,
 		limit:  opt.Limit,
 	}
+	if p != nil {
+		p.ForEachInstr(func(_ int, in *ir.Instr) { t.instrs = append(t.instrs, in) })
+	}
 	if t.format == FormatChrome {
 		_, t.err = t.w.WriteString(`{"displayTimeUnit":"ms","traceEvents":[`)
 	}
 	return t, nil
 }
 
-// Event implements emu.TraceSink.
-func (t *TraceWriter) Event(ev emu.Event) {
-	step := t.step
-	t.step++
-	if t.err != nil || step%t.sample != 0 || (t.limit > 0 && t.emitted >= t.limit) {
-		return
-	}
-	t.emit(step, ev)
-}
-
-// EventBatch implements emu.BatchSink: the fast interpreter delivers its
-// buffered event runs here.
+// EventBatch implements emu.BatchSink: it keeps one event in every
+// Sample, up to Limit records.
 func (t *TraceWriter) EventBatch(evs []emu.Event) {
 	for i := range evs {
-		t.Event(evs[i])
+		step := t.step
+		t.step++
+		if t.err != nil || step%t.sample != 0 || (t.limit > 0 && t.emitted >= t.limit) {
+			continue
+		}
+		t.emit(step, evs[i])
 	}
 }
 
@@ -104,6 +107,7 @@ func (t *TraceWriter) emit(step int64, ev emu.Event) {
 	if ev.Taken() {
 		taken = 1
 	}
+	in := t.instrs[ev.ID]
 	var err error
 	switch t.format {
 	case FormatChrome:
@@ -113,11 +117,11 @@ func (t *TraceWriter) emit(step int64, ev emu.Event) {
 		}
 		_, err = fmt.Fprintf(t.w,
 			`%s{"name":%q,"ph":"X","ts":%d,"dur":1,"pid":0,"tid":0,"args":{"id":%d,"pc":%d,"nullified":%d,"taken":%d,"addr":%d}}`,
-			comma, ev.In.Op.String(), step, ev.ID, ev.In.Addr, null, taken, ev.Addr)
+			comma, in.Op.String(), step, ev.ID, in.Addr, null, taken, ev.Addr)
 	case FormatJSONL:
 		_, err = fmt.Fprintf(t.w,
 			"{\"step\":%d,\"id\":%d,\"op\":%q,\"pc\":%d,\"nullified\":%d,\"taken\":%d,\"addr\":%d}\n",
-			step, ev.ID, ev.In.Op.String(), ev.In.Addr, null, taken, ev.Addr)
+			step, ev.ID, in.Op.String(), in.Addr, null, taken, ev.Addr)
 	}
 	if err != nil && t.err == nil {
 		t.err = err

@@ -410,8 +410,9 @@ func TestPredictorParam(t *testing.T) {
 }
 
 // TestWindowParam: ?window=32 is a distinct, gang-filled cell set on the
-// out-of-order scheduler under suffixed machine names; a bad window is a
-// one-line 400; ?window=0 is the bare in-order cell.
+// out-of-order scheduler under suffixed machine names; a bad window, or
+// one past machine.MaxWindowSize, is a one-line 400; ?window=0 is the
+// bare in-order cell.
 func TestWindowParam(t *testing.T) {
 	s := newTest(t, Config{})
 	rec := get(t, s, cellURL+"&window=32")
@@ -437,7 +438,7 @@ func TestWindowParam(t *testing.T) {
 	if rec := get(t, s, cellURL+"&window=0"); rec.Header().Get("X-Cache") != "hit" {
 		t.Error("window=0 is not the bare in-order cell")
 	}
-	for _, bad := range []string{"-1", "x", "1.5"} {
+	for _, bad := range []string{"-1", "x", "1.5", "4097"} {
 		if rec := get(t, s, cellURL+"&window="+bad); rec.Code != http.StatusBadRequest {
 			t.Errorf("window=%s: status %d, want 400", bad, rec.Code)
 		}

@@ -213,6 +213,7 @@ func TestSubmitRejections(t *testing.T) {
 		{"trap", "/v1/submit?model=superblock",
 			".mem 64\n.entry 0\nfunc F0 main:\nB0:\n\tmov r1, 0\n\tdiv r2, r1, r1\n\thalt\n", 422, "execute"},
 		{"bad machine", "/v1/submit?machine=issue9", "", 400, ""},
+		{"window past the bound", "/v1/submit?window=4097", "", 400, ""},
 		{"bad model", "/v1/submit?model=mystery", "", 400, ""},
 	}
 	for _, c := range cases {

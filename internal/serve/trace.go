@@ -176,7 +176,7 @@ func (s *Server) writeRequestTrace(tr *obs.Trace, body []byte) {
 		return
 	}
 	defer f.Close()
-	tw, err := obs.NewTraceWriter(f, obs.TraceOptions{Format: obs.FormatChrome})
+	tw, err := obs.NewTraceWriter(f, nil, obs.TraceOptions{Format: obs.FormatChrome})
 	if err != nil {
 		s.reg.Counter("serve_trace_errors").Inc()
 		return

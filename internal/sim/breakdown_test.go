@@ -12,14 +12,14 @@ import (
 	"predication/internal/obs"
 )
 
-// simulateObserved runs the trace through an instrumented simulator and
-// returns both the stats and the cycle account.
+// simulateObserved runs the trace through an instrumented simulator one
+// event per batch and returns both the stats and the cycle account.
 func simulateObserved(p *ir.Program, trace []emu.Event, cfg machine.Config) (Stats, *obs.CycleAccount) {
 	s := NewTiming(p, cfg)
 	var a obs.CycleAccount
 	s.Instrument(&a)
-	for _, ev := range trace {
-		s.Event(ev)
+	for i := range trace {
+		s.EventBatch(trace[i : i+1])
 	}
 	return s.Stats(), &a
 }
@@ -43,13 +43,13 @@ func TestBreakdownInvariantMatrix(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%v: compile: %v", k.Name, model, err)
 			}
-			res, err := emu.Run(c.Prog, emu.Options{Trace: true})
+			trace, err := record(c.Prog)
 			if err != nil {
 				t.Fatalf("%s/%v: emulate: %v", k.Name, model, err)
 			}
 			for _, cfg := range cfgs {
-				plain := Simulate(c.Prog, res.Trace, cfg)
-				st, acct := simulateObserved(c.Prog, res.Trace, cfg)
+				plain := simulate(c.Prog, trace, cfg)
+				st, acct := simulateObserved(c.Prog, trace, cfg)
 				if st != plain {
 					t.Errorf("%s/%v @ %s: instrumented stats diverge:\n  plain    %+v\n  observed %+v",
 						k.Name, model, cfg.Name, plain, st)
@@ -100,8 +100,8 @@ func TestBreakdownRegInterlock(t *testing.T) {
 	b.Halt()
 	prog := p.Program()
 	prog.AssignAddresses()
-	res, _ := emu.Run(prog, emu.Options{Trace: true})
-	st, acct := simulateObserved(prog, res.Trace, machine.Issue8Br1())
+	trace, _ := record(prog)
+	st, acct := simulateObserved(prog, trace, machine.Issue8Br1())
 	if err := acct.Verify(st.Cycles, st.Instrs, st.Nullified); err != nil {
 		t.Fatal(err)
 	}
@@ -124,8 +124,8 @@ func TestBreakdownBranchLimit(t *testing.T) {
 	sink.Halt()
 	prog := p.Program()
 	prog.AssignAddresses()
-	res, _ := emu.Run(prog, emu.Options{Trace: true})
-	st, acct := simulateObserved(prog, res.Trace, machine.Issue8Br1())
+	trace, _ := record(prog)
+	st, acct := simulateObserved(prog, trace, machine.Issue8Br1())
 	if err := acct.Verify(st.Cycles, st.Instrs, st.Nullified); err != nil {
 		t.Fatal(err)
 	}
@@ -160,9 +160,9 @@ func TestBreakdownMispredict(t *testing.T) {
 	done.Halt()
 	prog := p.Program()
 	prog.AssignAddresses()
-	res, _ := emu.Run(prog, emu.Options{Trace: true})
+	trace, _ := record(prog)
 	cfg := machine.Issue8Br1()
-	st, acct := simulateObserved(prog, res.Trace, cfg)
+	st, acct := simulateObserved(prog, trace, cfg)
 	if err := acct.Verify(st.Cycles, st.Instrs, st.Nullified); err != nil {
 		t.Fatal(err)
 	}
@@ -197,9 +197,9 @@ func TestBreakdownDCache(t *testing.T) {
 	b.Halt()
 	prog := p.Program()
 	prog.AssignAddresses()
-	res, _ := emu.Run(prog, emu.Options{Trace: true})
+	trace, _ := record(prog)
 	cfg := machine.Issue8Br1Cache()
-	st, acct := simulateObserved(prog, res.Trace, cfg)
+	st, acct := simulateObserved(prog, trace, cfg)
 	if err := acct.Verify(st.Cycles, st.Instrs, st.Nullified); err != nil {
 		t.Fatal(err)
 	}
@@ -231,13 +231,13 @@ func TestBreakdownPredInterlock(t *testing.T) {
 	b.Halt()
 	prog := p.Program()
 	prog.AssignAddresses()
-	res, _ := emu.Run(prog, emu.Options{Trace: true})
+	trace, _ := record(prog)
 	// Distance 3 leaves two empty cycles per define-use hop; the default
 	// decode-stage distance of 1 overlaps completely with the define's
 	// own issue and correctly reports no stall.
 	cfg := machine.Issue8Br1()
 	cfg.PredicateDistance = 3
-	st, acct := simulateObserved(prog, res.Trace, cfg)
+	st, acct := simulateObserved(prog, trace, cfg)
 	if err := acct.Verify(st.Cycles, st.Instrs, st.Nullified); err != nil {
 		t.Fatal(err)
 	}
@@ -277,12 +277,12 @@ func TestBreakdownICache(t *testing.T) {
 	cur.Jmp(hdr)
 	prog := p.Program()
 	prog.AssignAddresses()
-	res, err := emu.Run(prog, emu.Options{Trace: true})
+	trace, err := record(prog)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := machine.Issue8Br1Cache()
-	st, acct := simulateObserved(prog, res.Trace, cfg)
+	st, acct := simulateObserved(prog, trace, cfg)
 	if err := acct.Verify(st.Cycles, st.Instrs, st.Nullified); err != nil {
 		t.Fatal(err)
 	}
@@ -319,14 +319,14 @@ func TestInstrumentMidRun(t *testing.T) {
 	prog, trace := straightline(t, 64)
 	s := NewTiming(prog, machine.Issue1())
 	half := len(trace) / 2
-	for _, ev := range trace[:half] {
-		s.Event(ev)
+	for i := range trace[:half] {
+		s.EventBatch(trace[i : i+1])
 	}
 	mid := s.Stats().Cycles
 	var a obs.CycleAccount
 	s.Instrument(&a)
-	for _, ev := range trace[half:] {
-		s.Event(ev)
+	for i := half; i < len(trace); i++ {
+		s.EventBatch(trace[i : i+1])
 	}
 	end := s.Stats().Cycles
 	// After Instrument, acctPrev restarts at -1, so the first observed

@@ -297,13 +297,6 @@ func (g *Gang) Instrument(i int, a *obs.CycleAccount) {
 	l.acctPrev = -1
 }
 
-// Event advances every lane by one dynamic instruction.  It implements
-// emu.TraceSink; the model logic lives in the batch path.
-func (g *Gang) Event(ev emu.Event) {
-	evs := [1]emu.Event{ev}
-	g.EventBatch(evs[:])
-}
-
 // EventBatch implements emu.BatchSink: the whole batch advances every
 // lane before the call returns, in chunks of gangChunk events.
 func (g *Gang) EventBatch(evs []emu.Event) {

@@ -67,14 +67,14 @@ func TestGangParityMatrix(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%v: compile: %v", k.Name, model, err)
 			}
-			res, err := emu.Run(c.Prog, emu.Options{Trace: true})
+			trace, err := record(c.Prog)
 			if err != nil {
 				t.Fatalf("%s/%v: emulate: %v", k.Name, model, err)
 			}
 			g := NewGang(c.Prog, cfgs)
-			feedGang(g, res.Trace)
+			feedGang(g, trace)
 			for i, cfg := range cfgs {
-				want := Simulate(c.Prog, res.Trace, cfg)
+				want := simulate(c.Prog, trace, cfg)
 				if got := g.Stats(i); got != want {
 					t.Errorf("%s/%v @ %s: gang lane diverges from Simulator:\n  lane %+v\n  ref  %+v",
 						k.Name, model, cfg.Name, got, want)
@@ -103,7 +103,7 @@ func TestGangObservedMatrix(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%v: compile: %v", k.Name, model, err)
 			}
-			res, err := emu.Run(c.Prog, emu.Options{Trace: true})
+			trace, err := record(c.Prog)
 			if err != nil {
 				t.Fatalf("%s/%v: emulate: %v", k.Name, model, err)
 			}
@@ -112,10 +112,10 @@ func TestGangObservedMatrix(t *testing.T) {
 			for i := range cfgs {
 				g.Instrument(i, &accts[i])
 			}
-			feedGang(g, res.Trace)
+			feedGang(g, trace)
 			for i, cfg := range cfgs {
 				st := g.Stats(i)
-				refSt, refAcct := simulateObserved(c.Prog, res.Trace, cfg)
+				refSt, refAcct := simulateObserved(c.Prog, trace, cfg)
 				if st != refSt {
 					t.Errorf("%s/%v @ %s: instrumented gang lane diverges:\n  lane %+v\n  ref  %+v",
 						k.Name, model, cfg.Name, st, refSt)
@@ -141,7 +141,7 @@ func TestGangMixedInstrumentation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := emu.Run(c.Prog, emu.Options{Trace: true})
+	trace, err := record(c.Prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,9 +152,9 @@ func TestGangMixedInstrumentation(t *testing.T) {
 	if g.lanes[1].acct != &a || g.lanes[0].acct != nil {
 		t.Fatal("lane accounts do not reflect per-lane instrumentation")
 	}
-	feedGang(g, res.Trace)
+	feedGang(g, trace)
 	for i, cfg := range cfgs {
-		if got, want := g.Stats(i), Simulate(c.Prog, res.Trace, cfg); got != want {
+		if got, want := g.Stats(i), simulate(c.Prog, trace, cfg); got != want {
 			t.Errorf("lane %d (%s): %+v != %+v", i, cfg.Name, got, want)
 		}
 	}
@@ -164,26 +164,63 @@ func TestGangMixedInstrumentation(t *testing.T) {
 	}
 }
 
-// TestGangSingleEvent pins the TraceSink wrapper: one-event feeding is
-// Stats-identical to batch feeding.
-func TestGangSingleEvent(t *testing.T) {
-	k := bench.All()[0]
-	c, err := core.Compile(k.Build(), core.Superblock, core.DefaultOptions(machine.Issue8Br1()))
-	if err != nil {
-		t.Fatal(err)
+// TestChunkBoundaries pins that the way a stream is cut into batches
+// changes no result: the same recorded stream fed in batches of 1, 7,
+// 511, 512 and 513 events, and as one whole batch, gives identical Stats
+// and breakdowns on every lane of one gang.  The gang holds in-order and
+// ooo32 lanes, each configuration once plain and once observed.
+func TestChunkBoundaries(t *testing.T) {
+	cfgs := []machine.Config{
+		machine.Issue8Br1(), machine.Issue8Br1Cache(),
+		ooo32(machine.Issue8Br1()), ooo32(machine.Issue8Br1Cache()),
 	}
-	res, err := emu.Run(c.Prog, emu.Options{Trace: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfgs := []machine.Config{machine.Issue8Br1(), machine.Issue8Br1Cache()}
-	g := NewGang(c.Prog, cfgs)
-	for _, ev := range res.Trace {
-		g.Event(ev)
-	}
-	for i, cfg := range cfgs {
-		if got, want := g.Stats(i), Simulate(c.Prog, res.Trace, cfg); got != want {
-			t.Errorf("lane %d (%s): %+v != %+v", i, cfg.Name, got, want)
+	lanes := append(append([]machine.Config{}, cfgs...), cfgs...) // plain, then observed
+	models := []core.Model{core.Superblock, core.CondMove, core.FullPred}
+	for _, name := range []string{"wc", "026.compress"} {
+		k, err := bench.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, model := range models {
+			c, err := core.Compile(k.Build(), model, core.DefaultOptions(machine.Issue8Br1()))
+			if err != nil {
+				t.Fatalf("%s/%v: compile: %v", name, model, err)
+			}
+			trace, err := record(c.Prog)
+			if err != nil {
+				t.Fatalf("%s/%v: emulate: %v", name, model, err)
+			}
+			feed := func(n int) ([]Stats, []obs.CycleAccount) {
+				g := NewGang(c.Prog, lanes)
+				accts := make([]obs.CycleAccount, len(lanes))
+				for i := len(cfgs); i < len(lanes); i++ {
+					g.Instrument(i, &accts[i])
+				}
+				for i := 0; i < len(trace); i += n {
+					g.EventBatch(trace[i:min(i+n, len(trace))])
+				}
+				sts := make([]Stats, len(lanes))
+				for i := range lanes {
+					sts[i] = g.Stats(i)
+				}
+				return sts, accts
+			}
+			wantSt, wantAcct := feed(len(trace))
+			for i, cfg := range cfgs {
+				if p, o := wantSt[i], wantSt[len(cfgs)+i]; p != o {
+					t.Errorf("%s/%v @ %s: observed lane diverges from plain:\n  plain %+v\n  obs   %+v",
+						name, model, cfg.Name, p, o)
+				}
+			}
+			for _, n := range []int{1, 7, 511, 512, 513} {
+				st, acct := feed(n)
+				for i, cfg := range lanes {
+					if st[i] != wantSt[i] || acct[i] != wantAcct[i] {
+						t.Errorf("%s/%v @ %s (lane %d), batches of %d: diverges from one whole batch:\n  got  %+v %v\n  want %+v %v",
+							name, model, cfg.Name, i, n, st[i], acct[i].Breakdown, wantSt[i], wantAcct[i].Breakdown)
+					}
+				}
+			}
 		}
 	}
 }
@@ -219,11 +256,10 @@ func TestGangStepAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := emu.Run(c.Prog, emu.Options{Trace: true})
+	trace, err := record(c.Prog)
 	if err != nil {
 		t.Fatal(err)
 	}
-	trace := res.Trace
 	if len(trace) > 4*gangChunk {
 		trace = trace[:4*gangChunk]
 	}
@@ -247,7 +283,7 @@ func TestLaneModes(t *testing.T) {
 }
 
 // sweepTrace compiles wc under full predication for the 8-issue target
-// and materializes its dynamic trace once for the throughput benchmarks.
+// and records its dynamic trace once for the throughput benchmarks.
 func sweepTrace(b *testing.B) (*ir.Program, []machine.Config, []emu.Event) {
 	b.Helper()
 	k, err := bench.ByName("wc")
@@ -258,7 +294,7 @@ func sweepTrace(b *testing.B) (*ir.Program, []machine.Config, []emu.Event) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	res, err := emu.Run(c.Prog, emu.Options{Trace: true})
+	trace, err := record(c.Prog)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -266,7 +302,7 @@ func sweepTrace(b *testing.B) (*ir.Program, []machine.Config, []emu.Event) {
 		machine.Issue1(), machine.Issue1Cache(), machine.Issue4Br1(),
 		machine.Issue8Br1(), machine.Issue8Br2(), machine.Issue8Br1Cache(),
 	}
-	return c.Prog, cfgs, res.Trace
+	return c.Prog, cfgs, trace
 }
 
 // BenchmarkSweepPerConfig is the per-config simulator cost: one full

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 
 	"predication/internal/bench"
@@ -12,20 +13,23 @@ import (
 	"predication/internal/obs"
 )
 
-// ooo32 returns cfg as a 32-entry out-of-order window machine.
-func ooo32(cfg machine.Config) machine.Config {
+// window returns cfg as an out-of-order machine with a w-entry window.
+func window(cfg machine.Config, w int) machine.Config {
 	cfg.OoO = true
-	cfg.WindowSize = 32
-	cfg.Name += "+ooo32"
+	cfg.WindowSize = w
+	cfg.Name += fmt.Sprintf("+ooo%d", w)
 	return cfg
 }
 
-// simulateOoO runs a one-lane out-of-order simulator over a materialized
-// trace one event at a time (the OoO counterpart of Simulate).
+// ooo32 returns cfg as a 32-entry out-of-order window machine.
+func ooo32(cfg machine.Config) machine.Config { return window(cfg, 32) }
+
+// simulateOoO runs a one-lane out-of-order simulator over a recorded
+// trace one event per batch (the OoO counterpart of simulate).
 func simulateOoO(p *ir.Program, trace []emu.Event, cfg machine.Config) Stats {
 	s := NewTiming(p, cfg)
-	for _, ev := range trace {
-		s.Event(ev)
+	for i := range trace {
+		s.EventBatch(trace[i : i+1])
 	}
 	return s.Stats()
 }
@@ -53,7 +57,7 @@ func TestEmptyTraceCycles(t *testing.T) {
 	// One event makes the count positive again (the guard is on Instrs,
 	// not a separate flag).
 	_, trace := straightline(t, 0) // halt only
-	if st := Simulate(prog, trace[:1], cfg); st.Cycles < 1 {
+	if st := simulate(prog, trace[:1], cfg); st.Cycles < 1 {
 		t.Errorf("single-event trace: %d cycles, want >= 1", st.Cycles)
 	}
 }
@@ -83,7 +87,7 @@ func TestOoOWindow1Parity(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%v: compile: %v", k.Name, model, err)
 			}
-			res, err := emu.Run(c.Prog, emu.Options{Trace: true})
+			trace, err := record(c.Prog)
 			if err != nil {
 				t.Fatalf("%s/%v: emulate: %v", k.Name, model, err)
 			}
@@ -91,8 +95,8 @@ func TestOoOWindow1Parity(t *testing.T) {
 				w1 := base
 				w1.OoO = true
 				w1.WindowSize = 1
-				got := simulateOoO(c.Prog, res.Trace, w1)
-				want := Simulate(c.Prog, res.Trace, base)
+				got := simulateOoO(c.Prog, trace, w1)
+				want := simulate(c.Prog, trace, base)
 				if got != want {
 					t.Errorf("%s/%v @ %s: window-1 OoO diverges from in-order:\n  ooo %+v\n  ref %+v",
 						k.Name, model, base.Name, got, want)
@@ -125,18 +129,18 @@ func TestOoOGangParity(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: compile: %v", k.Name, err)
 		}
-		res, err := emu.Run(c.Prog, emu.Options{Trace: true})
+		trace, err := record(c.Prog)
 		if err != nil {
 			t.Fatalf("%s: emulate: %v", k.Name, err)
 		}
 		g := NewGang(c.Prog, cfgs)
-		feedGang(g, res.Trace)
+		feedGang(g, trace)
 		for i, cfg := range cfgs {
 			var want Stats
 			if cfg.OoO {
-				want = simulateOoO(c.Prog, res.Trace, cfg)
+				want = simulateOoO(c.Prog, trace, cfg)
 			} else {
-				want = Simulate(c.Prog, res.Trace, cfg)
+				want = simulate(c.Prog, trace, cfg)
 			}
 			if got := g.Stats(i); got != want {
 				t.Errorf("%s @ %s: gang lane diverges from one-lane simulator:\n  lane %+v\n  ref  %+v",
@@ -178,7 +182,7 @@ func TestOoOBreakdownInvariant(t *testing.T) {
 	bases := []machine.Config{machine.Issue8Br1(), machine.Issue8Br1Cache(), machine.Issue1()}
 	var total obs.Breakdown
 	for _, in := range inputs {
-		res, err := emu.Run(in.prog, emu.Options{Trace: true})
+		trace, err := record(in.prog)
 		if err != nil {
 			t.Fatalf("%s: emulate: %v", in.name, err)
 		}
@@ -191,11 +195,11 @@ func TestOoOBreakdownInvariant(t *testing.T) {
 				s := NewTiming(in.prog, cfg)
 				var a obs.CycleAccount
 				s.Instrument(&a)
-				for _, ev := range res.Trace {
-					s.Event(ev)
+				for i := range trace {
+					s.EventBatch(trace[i : i+1])
 				}
 				st := s.Stats()
-				if plain := simulateOoO(in.prog, res.Trace, cfg); plain != st {
+				if plain := simulateOoO(in.prog, trace, cfg); plain != st {
 					t.Errorf("%s @ %s/w%d: instrumentation changed stats:\n  plain %+v\n  obs   %+v",
 						in.name, base.Name, w, plain, st)
 				}
@@ -206,7 +210,7 @@ func TestOoOBreakdownInvariant(t *testing.T) {
 				g := NewGang(in.prog, []machine.Config{cfg})
 				var ga obs.CycleAccount
 				g.Instrument(0, &ga)
-				feedGang(g, res.Trace)
+				feedGang(g, trace)
 				if gst := g.Stats(0); gst != st {
 					t.Errorf("%s @ %s/w%d: instrumented gang lane diverges:\n  lane %+v\n  ref  %+v",
 						in.name, base.Name, w, gst, st)
@@ -277,13 +281,13 @@ func TestOoOOverlapBeatsInOrder(t *testing.T) {
 	b.Halt()
 	prog := p.Program()
 	prog.AssignAddresses()
-	res, err := emu.Run(prog, emu.Options{Trace: true})
+	trace, err := record(prog)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// 27 dynamic instructions: a 32-entry window never backpressures.
-	inOrder := Simulate(prog, res.Trace, machine.Issue8Br1())
-	wide := simulateOoO(prog, res.Trace, ooo32(machine.Issue8Br1()))
+	inOrder := simulate(prog, trace, machine.Issue8Br1())
+	wide := simulateOoO(prog, trace, ooo32(machine.Issue8Br1()))
 	// In order the multiply chain's ~24-cycle span serializes after the
 	// ~96-cycle divide chain; out of order it hides entirely.
 	if wide.Cycles+15 > inOrder.Cycles {
@@ -294,7 +298,7 @@ func TestOoOOverlapBeatsInOrder(t *testing.T) {
 	w1 := machine.Issue8Br1()
 	w1.OoO = true
 	w1.WindowSize = 1
-	if st := simulateOoO(prog, res.Trace, w1); st != inOrder {
+	if st := simulateOoO(prog, trace, w1); st != inOrder {
 		t.Errorf("window-1 diverges on the chain program:\n  ooo %+v\n  ref %+v", st, inOrder)
 	}
 }
@@ -316,7 +320,7 @@ func TestOoORingGrowth(t *testing.T) {
 	b.Halt()
 	prog := p.Program()
 	prog.AssignAddresses()
-	res, err := emu.Run(prog, emu.Options{Trace: true})
+	trace, err := record(prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +328,7 @@ func TestOoORingGrowth(t *testing.T) {
 	s := NewTiming(prog, cfg)
 	var a obs.CycleAccount
 	s.Instrument(&a)
-	s.EventBatch(res.Trace)
+	s.EventBatch(trace)
 	st := s.Stats()
 	// 128 dependent divides at latency 8: over a thousand cycles while
 	// dispatch finished within ~130 — far beyond the initial ring.
@@ -334,7 +338,7 @@ func TestOoORingGrowth(t *testing.T) {
 	if err := a.Verify(st.Cycles, st.Instrs, st.Nullified); err != nil {
 		t.Errorf("%v\n  breakdown %v", err, a.Breakdown)
 	}
-	if plain := simulateOoO(prog, res.Trace, cfg); plain != st {
+	if plain := simulateOoO(prog, trace, cfg); plain != st {
 		t.Errorf("instrumentation changed stats:\n  plain %+v\n  obs   %+v", plain, st)
 	}
 }
@@ -379,11 +383,10 @@ func TestOoOStepAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := emu.Run(c.Prog, emu.Options{Trace: true})
+	trace, err := record(c.Prog)
 	if err != nil {
 		t.Fatal(err)
 	}
-	trace := res.Trace
 	if len(trace) > 4096 {
 		trace = trace[:4096]
 	}

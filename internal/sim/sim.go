@@ -248,9 +248,9 @@ func decodeInstrs(p *ir.Program, regBase, predBase []int32, nPreds int32) []simI
 }
 
 // Simulator is the single-configuration form of the timing engine: a
-// one-lane Gang.  It implements emu.TraceSink and emu.BatchSink, so it is
-// passed to the emulator as its sink and consumes the dynamic instruction
-// stream while the emulator produces it; read the totals with Stats.
+// one-lane Gang.  It implements emu.BatchSink, so it is passed to the
+// emulator as its sink and consumes the dynamic instruction stream while
+// the emulator produces it; read the totals with Stats.
 // State is O(static program size) — readiness arrays, pre-decoded
 // instruction table, predictor, caches — independent of trace length, so a
 // run never materializes the trace.
@@ -264,9 +264,6 @@ func NewTiming(p *ir.Program, cfg machine.Config) *Simulator {
 	return &Simulator{NewGang(p, []machine.Config{cfg})}
 }
 
-// Event implements emu.TraceSink.
-func (s *Simulator) Event(ev emu.Event) { s.g.Event(ev) }
-
 // EventBatch implements emu.BatchSink.
 func (s *Simulator) EventBatch(evs []emu.Event) { s.g.EventBatch(evs) }
 
@@ -275,16 +272,6 @@ func (s *Simulator) Stats() Stats { return s.g.Stats(0) }
 
 // Instrument attaches a cycle account (see Gang.Instrument).
 func (s *Simulator) Instrument(a *obs.CycleAccount) { s.g.Instrument(0, a) }
-
-// Simulate runs a materialized trace through the configured processor
-// model and returns timing statistics.  It is the slice-backed wrapper for
-// callers that already hold a []emu.Event; streaming callers pass a
-// Simulator (or a Gang) to the emulator as its sink.
-func Simulate(p *ir.Program, trace []emu.Event, cfg machine.Config) Stats {
-	s := NewTiming(p, cfg)
-	s.EventBatch(trace)
-	return s.Stats()
-}
 
 // regIndex assigns each function a base offset into program-wide register
 // and predicate readiness arrays.

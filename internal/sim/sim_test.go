@@ -9,6 +9,25 @@ import (
 	"predication/internal/machine"
 )
 
+// recorder collects the emulator's event stream.
+type recorder struct{ evs []emu.Event }
+
+func (r *recorder) EventBatch(evs []emu.Event) { r.evs = append(r.evs, evs...) }
+
+// record emulates p and returns its dynamic event stream.
+func record(p *ir.Program) ([]emu.Event, error) {
+	var r recorder
+	_, err := emu.Run(p, emu.Options{Sink: &r})
+	return r.evs, err
+}
+
+// simulate times a recorded event stream on one machine configuration.
+func simulate(p *ir.Program, trace []emu.Event, cfg machine.Config) Stats {
+	s := NewTiming(p, cfg)
+	s.EventBatch(trace)
+	return s.Stats()
+}
+
 // straightline builds a program with n independent adds and a halt, and
 // returns program + trace.
 func straightline(t *testing.T, n int) (*ir.Program, []emu.Event) {
@@ -22,17 +41,17 @@ func straightline(t *testing.T, n int) (*ir.Program, []emu.Event) {
 	b.Halt()
 	prog := p.Program()
 	prog.AssignAddresses()
-	res, err := emu.Run(prog, emu.Options{Trace: true})
+	trace, err := record(prog)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return prog, res.Trace
+	return prog, trace
 }
 
 func TestIssueWidthBound(t *testing.T) {
 	prog, trace := straightline(t, 64)
-	c8 := Simulate(prog, trace, machine.Issue8Br1())
-	c1 := Simulate(prog, trace, machine.Issue1())
+	c8 := simulate(prog, trace, machine.Issue8Br1())
+	c1 := simulate(prog, trace, machine.Issue1())
 	// 64 independent adds + halt: 8-issue needs ~9 cycles, 1-issue ~65.
 	if c8.Cycles > 10 {
 		t.Errorf("8-issue took %d cycles for 64 independent adds", c8.Cycles)
@@ -58,8 +77,8 @@ func TestDependenceInterlock(t *testing.T) {
 	b.Halt()
 	prog := p.Program()
 	prog.AssignAddresses()
-	res, _ := emu.Run(prog, emu.Options{Trace: true})
-	st := Simulate(prog, res.Trace, machine.Issue8Br1())
+	trace, _ := record(prog)
+	st := simulate(prog, trace, machine.Issue8Br1())
 	if st.Cycles < 64 {
 		t.Errorf("dependent multiply chain finished in %d cycles; interlocks not modeled", st.Cycles)
 	}
@@ -78,9 +97,9 @@ func TestBranchSlotBound(t *testing.T) {
 	sink.Halt()
 	prog := p.Program()
 	prog.AssignAddresses()
-	res, _ := emu.Run(prog, emu.Options{Trace: true})
-	br1 := Simulate(prog, res.Trace, machine.Issue8Br1())
-	br2 := Simulate(prog, res.Trace, machine.Issue8Br2())
+	trace, _ := record(prog)
+	br1 := simulate(prog, trace, machine.Issue8Br1())
+	br2 := simulate(prog, trace, machine.Issue8Br2())
 	if br1.Cycles < 32 {
 		t.Errorf("1-branch machine: %d cycles for 32 branches", br1.Cycles)
 	}
@@ -114,11 +133,11 @@ func TestBTBTraining(t *testing.T) {
 		done.Halt()
 		prog := p.Program()
 		prog.AssignAddresses()
-		res, err := emu.Run(prog, emu.Options{Trace: true})
+		trace, err := record(prog)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return Simulate(prog, res.Trace, machine.Issue8Br1())
+		return simulate(prog, trace, machine.Issue8Br1())
 	}
 	steady := loop(false)
 	if steady.Mispredicts > 5 {
@@ -148,8 +167,8 @@ func TestNullifiedBranchesAreSquashed(t *testing.T) {
 	sink.Halt()
 	prog := p.Program()
 	prog.AssignAddresses()
-	res, _ := emu.Run(prog, emu.Options{Trace: true})
-	st := Simulate(prog, res.Trace, machine.Issue8Br1())
+	trace, _ := record(prog)
+	st := simulate(prog, trace, machine.Issue8Br1())
 	if st.Branches != 0 {
 		t.Errorf("nullified branches counted as executed: %d", st.Branches)
 	}
@@ -183,9 +202,9 @@ func TestDCacheMissLatency(t *testing.T) {
 	b.Halt()
 	prog := p.Program()
 	prog.AssignAddresses()
-	res, _ := emu.Run(prog, emu.Options{Trace: true})
-	perfect := Simulate(prog, res.Trace, machine.Issue8Br1())
-	real := Simulate(prog, res.Trace, machine.Issue8Br1Cache())
+	trace, _ := record(prog)
+	perfect := simulate(prog, trace, machine.Issue8Br1())
+	real := simulate(prog, trace, machine.Issue8Br1Cache())
 	if real.DCacheMisses < 60 {
 		t.Errorf("expected ~64 cold misses, got %d", real.DCacheMisses)
 	}
@@ -193,7 +212,7 @@ func TestDCacheMissLatency(t *testing.T) {
 		t.Errorf("miss penalty not reflected: perfect=%d real=%d", perfect.Cycles, real.Cycles)
 	}
 	// Second pass over the same data hits.
-	st2 := Simulate(prog, append(append([]emu.Event{}, res.Trace...), res.Trace...), machine.Issue8Br1Cache())
+	st2 := simulate(prog, append(append([]emu.Event{}, trace...), trace...), machine.Issue8Br1Cache())
 	if st2.DCacheMisses != real.DCacheMisses {
 		t.Errorf("second pass should hit: %d vs %d misses", st2.DCacheMisses, real.DCacheMisses)
 	}
@@ -235,11 +254,11 @@ func TestWritebackSuppressionShortensDefineUse(t *testing.T) {
 	b.Halt()
 	prog := p.Program()
 	prog.AssignAddresses()
-	res, _ := emu.Run(prog, emu.Options{Trace: true})
-	decode := Simulate(prog, res.Trace, machine.Issue8Br1())
+	trace, _ := record(prog)
+	decode := simulate(prog, trace, machine.Issue8Br1())
 	wbCfg := machine.Issue8Br1()
 	wbCfg.WritebackSuppression = true
-	wb := Simulate(prog, res.Trace, wbCfg)
+	wb := simulate(prog, trace, wbCfg)
 	if wb.Cycles >= decode.Cycles {
 		t.Errorf("writeback suppression should be faster: %d vs %d", wb.Cycles, decode.Cycles)
 	}
@@ -273,22 +292,22 @@ func TestICacheMisses(t *testing.T) {
 		cur.Jmp(hdr)
 		prog := p.Program()
 		prog.AssignAddresses()
-		res, err := emu.Run(prog, emu.Options{Trace: true})
+		trace, err := record(prog)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return prog, res.Trace
+		return prog, trace
 	}
 	// 12 sections x 2048 instrs x 4B = 96KB > 64KB: capacity misses on
 	// every revisit.
 	prog, trace := build(12)
-	st := Simulate(prog, trace, machine.Issue8Br1Cache())
+	st := simulate(prog, trace, machine.Issue8Br1Cache())
 	if st.ICacheMisses < 2000 {
 		t.Errorf("icache misses %d for a 96KB loop footprint", st.ICacheMisses)
 	}
 	// 2 sections = 16KB: only cold misses.
 	prog2, trace2 := build(2)
-	st2 := Simulate(prog2, trace2, machine.Issue8Br1Cache())
+	st2 := simulate(prog2, trace2, machine.Issue8Br1Cache())
 	cold := int64(16 << 10 / 64)
 	if st2.ICacheMisses > cold+16 {
 		t.Errorf("icache misses %d for a fitting footprint (cold = %d)", st2.ICacheMisses, cold)
@@ -321,12 +340,12 @@ func TestPredicateDistanceConfig(t *testing.T) {
 	b.Halt()
 	prog := p.Program()
 	prog.AssignAddresses()
-	res, _ := emu.Run(prog, emu.Options{Trace: true})
+	trace, _ := record(prog)
 	var last int64
 	for _, d := range []int{1, 2, 3} {
 		mc := machine.Issue8Br1()
 		mc.PredicateDistance = d
-		st := Simulate(prog, res.Trace, mc)
+		st := simulate(prog, trace, mc)
 		if st.Cycles <= last {
 			t.Errorf("distance %d: cycles %d not monotonic", d, st.Cycles)
 		}
@@ -356,14 +375,14 @@ func TestGsharePredictsAlternation(t *testing.T) {
 	done.Halt()
 	prog := p.Program()
 	prog.AssignAddresses()
-	res, err := emu.Run(prog, emu.Options{Trace: true})
+	trace, err := record(prog)
 	if err != nil {
 		t.Fatal(err)
 	}
-	btbStats := Simulate(prog, res.Trace, machine.Issue8Br1())
+	btbStats := simulate(prog, trace, machine.Issue8Br1())
 	g := machine.Issue8Br1()
 	g.Gshare = true
-	gStats := Simulate(prog, res.Trace, g)
+	gStats := simulate(prog, trace, g)
 	if gStats.Mispredicts*3 > btbStats.Mispredicts {
 		t.Errorf("gshare should learn alternation: %d vs BTB %d mispredicts",
 			gStats.Mispredicts, btbStats.Mispredicts)

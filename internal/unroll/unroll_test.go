@@ -7,6 +7,7 @@ import (
 	"predication/internal/cfg"
 	"predication/internal/core"
 	"predication/internal/emu"
+	"predication/internal/ir"
 	"predication/internal/machine"
 	"predication/internal/progen"
 	"predication/internal/unroll"
@@ -99,6 +100,11 @@ func TestUnrollRandomPrograms(t *testing.T) {
 	}
 }
 
+// recorder collects the emulator's event stream.
+type recorder struct{ evs []emu.Event }
+
+func (r *recorder) EventBatch(evs []emu.Event) { r.evs = append(r.evs, evs...) }
+
 // TestUnrollAmortizesBranches: unrolling cmp cuts its dynamic branch count
 // further (one loop branch per U words instead of per 8).
 func TestUnrollAmortizesBranches(t *testing.T) {
@@ -110,13 +116,15 @@ func TestUnrollAmortizesBranches(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		run, err := emu.Run(c.Prog, emu.Options{Trace: true})
-		if err != nil {
+		var rec recorder
+		if _, err := emu.Run(c.Prog, emu.Options{Sink: &rec}); err != nil {
 			t.Fatal(err)
 		}
+		var ops []ir.Op
+		c.Prog.ForEachInstr(func(_ int, in *ir.Instr) { ops = append(ops, in.Op) })
 		br := int64(0)
-		for _, ev := range run.Trace {
-			if ev.In.Op.IsBranch() && !ev.Nullified() {
+		for _, ev := range rec.evs {
+			if ops[ev.ID].IsBranch() && !ev.Nullified() {
 				br++
 			}
 		}

@@ -19,9 +19,10 @@
 //
 // The package is a facade over the internal compiler passes; the typical
 // flow is: build a program (internal/builder or bench kernels), Compile it
-// for a model and machine, Run the result on the emulator, and Simulate
-// the trace on a machine configuration.  RunExperiments regenerates every
-// figure and table of the paper's evaluation.
+// for a model and machine, and RunInto a NewSimulator for a machine
+// configuration, which times the trace as the emulator produces it.
+// RunExperiments regenerates every figure and table of the paper's
+// evaluation.
 package predication
 
 import (
@@ -79,30 +80,24 @@ func CompileWithOptions(p *ir.Program, model Model, opts core.Options) (*core.Co
 }
 
 // Run emulates a compiled program to completion, returning its final
-// memory image and, when trace is true, the dynamic instruction trace.
-func Run(p *ir.Program, trace bool) (*emu.Result, error) {
-	return emu.Run(p, emu.Options{Trace: trace})
+// memory image and step count.
+func Run(p *ir.Program) (*emu.Result, error) {
+	return emu.Run(p, emu.Options{})
 }
 
-// TraceSink consumes the dynamic instruction stream as the emulator
-// produces it (see RunInto and NewSimulator).
-type TraceSink = emu.TraceSink
+// BatchSink consumes the dynamic instruction stream in batches as the
+// emulator produces it (see RunInto and NewSimulator).
+type BatchSink = emu.BatchSink
 
 // RunInto emulates a compiled program, streaming every dynamic
-// instruction into sink instead of materializing a trace.  With a
-// NewSimulator sink this times the program in O(1) memory per run.
-func RunInto(p *ir.Program, sink TraceSink) (*emu.Result, error) {
+// instruction into sink.  With a NewSimulator sink this times the program
+// in O(1) memory per run.
+func RunInto(p *ir.Program, sink BatchSink) (*emu.Result, error) {
 	return emu.Run(p, emu.Options{Sink: sink})
 }
 
-// Simulate times a materialized dynamic trace on the configured processor
-// model.
-func Simulate(p *ir.Program, trace []emu.Event, cfg Config) sim.Stats {
-	return sim.Simulate(p, trace, cfg)
-}
-
 // NewSimulator creates a streaming timing simulator for the program and
-// configuration.  It implements TraceSink: pass it to RunInto, then read
+// configuration.  It implements BatchSink: pass it to RunInto, then read
 // its Stats.
 func NewSimulator(p *ir.Program, cfg Config) *sim.Simulator {
 	return sim.NewTiming(p, cfg)

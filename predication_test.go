@@ -20,13 +20,17 @@ func TestFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run, err := Run(c.Prog, true)
+	s := NewSimulator(c.Prog, Issue8Br1())
+	run, err := RunInto(c.Prog, s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := Simulate(c.Prog, run.Trace, Issue8Br1())
+	st := s.Stats()
 	if st.Cycles == 0 || st.Instrs == 0 {
 		t.Fatalf("empty stats: %+v", st)
+	}
+	if plain, err := Run(c.Prog); err != nil || plain.Steps != run.Steps || st.Instrs != run.Steps {
+		t.Fatalf("Run: %v; %d steps, RunInto %d steps, simulator saw %d", err, plain.Steps, run.Steps, st.Instrs)
 	}
 	if len(Benchmarks()) != 15 {
 		t.Errorf("benchmark count %d, want 15", len(Benchmarks()))
