@@ -314,28 +314,37 @@ func TestUsefulIPC(t *testing.T) {
 // TestInstrumentMidRun: instrumentation attached after events have been
 // consumed accounts only the remaining cycles; the invariant against full
 // Stats.Cycles is a whole-run property, so here we check the account adds
-// up to the cycle delta instead.
+// up to the cycle delta instead.  Attaching moves a lane from the plain
+// compiled loop to the observed one (in order and out of order alike), so
+// the run must also keep the Stats of a run that was never instrumented.
 func TestInstrumentMidRun(t *testing.T) {
 	prog, trace := straightline(t, 64)
-	s := NewTiming(prog, machine.Issue1())
-	half := len(trace) / 2
-	for i := range trace[:half] {
-		s.EventBatch(trace[i : i+1])
-	}
-	mid := s.Stats().Cycles
-	var a obs.CycleAccount
-	s.Instrument(&a)
-	for i := half; i < len(trace); i++ {
-		s.EventBatch(trace[i : i+1])
-	}
-	end := s.Stats().Cycles
-	// After Instrument, acctPrev restarts at -1, so the first observed
-	// event re-attributes the cycles up to its issue; the account covers
-	// (0, end] minus nothing — i.e. it equals end cycles only if attached
-	// before the first event.  Attached mid-run it covers the tail plus
-	// the first re-attributed span; the sum must still be internally
-	// consistent and at least the tail.
-	if got := a.Breakdown.Total(); got < end-mid {
-		t.Errorf("mid-run account %d smaller than cycle delta %d", got, end-mid)
+	for _, cfg := range []machine.Config{machine.Issue1(), ooo32(machine.Issue1())} {
+		s := NewTiming(prog, cfg)
+		half := len(trace) / 2
+		for i := range trace[:half] {
+			s.EventBatch(trace[i : i+1])
+		}
+		mid := s.Stats().Cycles
+		var a obs.CycleAccount
+		s.Instrument(&a)
+		for i := half; i < len(trace); i++ {
+			s.EventBatch(trace[i : i+1])
+		}
+		st := s.Stats()
+		// After Instrument, acctPrev restarts at -1, so the first observed
+		// event re-attributes the cycles up to its issue; the account covers
+		// (0, end] minus nothing — i.e. it equals end cycles only if attached
+		// before the first event.  Attached mid-run it covers the tail plus
+		// the first re-attributed span; the sum must still be internally
+		// consistent and at least the tail.
+		if got := a.Breakdown.Total(); got < st.Cycles-mid {
+			t.Errorf("%s: mid-run account %d smaller than cycle delta %d", cfg.Name, got, st.Cycles-mid)
+		}
+		plain := NewTiming(prog, cfg)
+		plain.EventBatch(trace)
+		if want := plain.Stats(); st != want {
+			t.Errorf("%s: attaching an account mid-run changed stats:\n  got  %+v\n  want %+v", cfg.Name, st, want)
+		}
 	}
 }

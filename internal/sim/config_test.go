@@ -20,14 +20,14 @@ const configSpaceSeed = 20_240_601
 // drawConfig draws an in-order machine configuration that Validate
 // accepts: any width, branch slots, predictor, penalties, predicate
 // distance and suppression stage, and half the time real caches of random
-// geometry and miss cost.
+// geometry and miss cost.  One latency in eight is long (drawLatency).
 func drawConfig(r *rand.Rand) machine.Config {
 	cache := func() machine.CacheConfig {
 		block := 4 << r.Intn(6) // 4-128 bytes
 		return machine.CacheConfig{
 			SizeBytes:  block << r.Intn(12), // 1-2048 lines
 			BlockSize:  block,
-			MissCycles: r.Intn(21),
+			MissCycles: drawLatency(r, 21),
 		}
 	}
 	cfg := machine.Config{
@@ -39,7 +39,7 @@ func drawConfig(r *rand.Rand) machine.Config {
 		MispredictPenalty:    r.Intn(8),
 		WritebackSuppression: r.Intn(4) == 0,
 		Gshare:               r.Intn(2) == 0,
-		PredicateDistance:    r.Intn(4),
+		PredicateDistance:    drawLatency(r, 4),
 	}
 	if r.Intn(2) == 0 {
 		cfg.TakenBranchBubble = 1 + r.Intn(3)
@@ -51,11 +51,30 @@ func drawConfig(r *rand.Rand) machine.Config {
 	return cfg
 }
 
+// drawLatency draws a latency below short, and one time in eight up to
+// 1<<20 cycles: long enough that out-of-order issue cycles outrun the
+// issue-slot ring into its far list.
+func drawLatency(r *rand.Rand, short int) int {
+	if r.Intn(8) == 0 {
+		return r.Intn(1<<20 + 1)
+	}
+	return r.Intn(short)
+}
+
+// drawWindow draws a window of 1-64 entries, and one time in eight up to
+// machine.MaxWindowSize, the largest window and issue-slot ring.
+func drawWindow(r *rand.Rand) int {
+	if r.Intn(8) == 0 {
+		return 1 + r.Intn(machine.MaxWindowSize)
+	}
+	return 1 + r.Intn(64)
+}
+
 // TestConfigSpace holds the timing engine's invariants over random
 // programs × random valid machine configurations, not just the stock
 // kernels and machines.  Each draw compiles a progen program for a random
-// model and stock target, draws a configuration and a window of 1-64
-// entries plus a second configuration and window that share the gang
+// model and stock target, draws a configuration and a window (drawWindow)
+// plus a second configuration and window that share the gang
 // (so lanes of different geometry share its front end), and emulates
 // once into the gang and into one one-lane simulator per gang lane.  It checks that every draw terminates (the emulator's
 // step cap and a wall-clock watchdog), that each gang lane equals its
@@ -77,10 +96,10 @@ func TestConfigSpace(t *testing.T) {
 		model := models[r.Intn(len(models))]
 		target := targets[r.Intn(len(targets))]
 		cfg := drawConfig(r)
-		w := 1 + r.Intn(64)
+		w := drawWindow(r)
 		other := drawConfig(r)
 		other.Name = "other"
-		ow := 1 + r.Intn(64)
+		ow := drawWindow(r)
 		where := fmt.Sprintf("seed %d (%v for %s), window %d, config %+v, other window %d, other config %+v",
 			seed, model, target.Name, w, cfg, ow, other)
 

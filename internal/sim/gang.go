@@ -13,7 +13,7 @@ import (
 // through the same dynamic event batch in one pass.  A single
 // configuration is a one-lane gang (Simulator), so the in-order pipeline
 // is exactly one loop (laneReplay) and the issue-window model exactly one
-// scheduler (oooState.step, ooo.go).
+// scheduler (laneReplayOoO, ooo.go).
 //
 // The design splits the per-event work by what it actually depends on:
 //
@@ -107,14 +107,16 @@ type gangLane struct {
 	issueWidth  int
 	branchSlots int
 
-	// In-order pipeline state: the earliest issue cycle the front end
-	// allows, the previous instruction's issue cycle, and the slot counts
-	// of the current issue cycle.
+	// The earliest cycle the front end allows the next instruction to
+	// issue (in order) or dispatch (out of order).
 	fetchAvail int64
-	prevIssue  int64
-	curCycle   int64
-	slots      int
-	brSlots    int
+
+	// In-order pipeline state: the previous instruction's issue cycle and
+	// the slot counts of the current issue cycle.
+	prevIssue int64
+	curCycle  int64
+	slots     int
+	brSlots   int
 
 	// Cycle-accounting state, used only once Instrument attached acct: the
 	// per-register data-cache-miss share of readiness, the cause of the
@@ -125,9 +127,8 @@ type gangLane struct {
 	acctPrev   int64
 
 	// Out-of-order lanes (cfg.OoO) replay through the window scheduler
-	// instead of the in-order loop; the in-order scalars above are unused
-	// for them.  The scheduler views the same regReady / predReady
-	// stripes.
+	// instead of the in-order loop; the in-order pipeline state above is
+	// unused for them.  The scheduler shares everything else.
 	ooo *oooState
 }
 
@@ -202,7 +203,7 @@ func NewGang(p *ir.Program, cfgs []machine.Config) *Gang {
 		}
 		l.pr = g.predictorClass(cfg)
 		if cfg.OoO {
-			l.ooo = newOoOState(cfg, l.regReady, l.predReady)
+			l.ooo = newOoOState(cfg.WindowSize)
 		}
 	}
 	g.icOut = outcomeRows(len(g.ics))
@@ -266,7 +267,7 @@ func (g *Gang) Stats(i int) Stats {
 	st := l.st
 	if st.Instrs > 0 {
 		if l.ooo != nil {
-			st.Cycles = l.ooo.maxIssue + 1
+			st.Cycles = l.ooo.maxIssue() + 1
 		} else {
 			st.Cycles = l.prevIssue + 1
 		}
@@ -279,16 +280,13 @@ func (g *Gang) Stats(i int) Stats {
 // call it before the first event (an uninstrumented lane does not track
 // why its fetch is redirected, so the cycles of a redirect pending at a
 // mid-run attach go to the cause last seen while instrumented, or to
-// issue).  Other lanes are unaffected.  An
-// account may be shared across lanes or simulators only sequentially (it
-// is not synchronized).
+// issue; nor, out of order, whether its dispatch cohort was window-gated,
+// so that cohort's overflow goes to rename_stall).  Other lanes are
+// unaffected.  An account may be shared across lanes or simulators only
+// sequentially (it is not synchronized).
 func (g *Gang) Instrument(i int, a *obs.CycleAccount) {
 	l := &g.lanes[i]
 	l.acct = a
-	if l.ooo != nil {
-		l.ooo.instrument()
-		return
-	}
 	if l.regMiss == nil {
 		l.regMiss = make([]int64, len(l.regReady))
 	}
@@ -404,8 +402,10 @@ func (g *Gang) chunk(evs []emu.Event) {
 			dcOut = g.dcOut[l.dc]
 		}
 		switch {
+		case l.ooo != nil && l.acct != nil:
+			laneReplayOoO[observedLane](l, code, evs, icOut, dcOut, g.prOut[l.pr])
 		case l.ooo != nil:
-			laneReplayOoO(l, code, evs, icOut, dcOut, g.prOut[l.pr])
+			laneReplayOoO[plainLane](l, code, evs, icOut, dcOut, g.prOut[l.pr])
 		case l.acct != nil:
 			laneReplay[observedLane](l, code, evs, icOut, dcOut, g.prOut[l.pr])
 		default:
@@ -636,10 +636,10 @@ func laneReplay[M laneMode](l *gangLane, code []simInstr, evs []emu.Event, icOut
 	}
 }
 
-// laneMode selects one of laneReplay's two compiled forms.  Go compiles a
-// generic function once per memory shape of its type arguments, and these
-// two differ in size, so laneReplay's observe switch (the mode's size) is
-// a constant in each.
+// laneMode selects one of the two compiled forms of laneReplay and
+// laneReplayOoO.  Go compiles a generic function once per memory shape of
+// its type arguments, and these two differ in size, so the loops' observe
+// switch (the mode's size) is a constant in each.
 type laneMode interface{ plainLane | observedLane }
 
 type (

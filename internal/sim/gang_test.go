@@ -272,9 +272,9 @@ func TestGangStepAllocs(t *testing.T) {
 	}
 }
 
-// TestLaneModes pins laneReplay's compile-time switch: the plain mode must
-// stay zero-size, so its compiled loop carries no attribution, and the
-// observed mode must not.
+// TestLaneModes pins the compile-time switch of laneReplay and
+// laneReplayOoO: the plain mode must stay zero-size, so its compiled loops
+// carry no attribution, and the observed mode must not.
 func TestLaneModes(t *testing.T) {
 	if unsafe.Sizeof(plainLane{}) != 0 || unsafe.Sizeof(observedLane{}) == 0 {
 		t.Fatalf("lane mode sizes %d (plain), %d (observed); want 0 and non-zero",
@@ -326,16 +326,31 @@ func BenchmarkSweepPerConfig(b *testing.B) {
 }
 
 // BenchmarkSweepGang is the gang arm's simulator cost: one Gang stepping
-// the same configurations through the same batches in a single pass.
+// the same configurations through the same batches in a single pass, in
+// order and with a 32-entry window.  ns/lane-event is the pass time over
+// events × lanes, the shared front end included.
 func BenchmarkSweepGang(b *testing.B) {
 	p, cfgs, trace := sweepTrace(b)
-	g := NewGang(p, cfgs)
-	b.SetBytes(int64(len(trace)))
-	b.ResetTimer()
-	for n := 0; n < b.N; n++ {
-		for start := 0; start < len(trace); start += 512 {
-			end := min(start+512, len(trace))
-			g.EventBatch(trace[start:end])
-		}
+	oooCfgs := make([]machine.Config, len(cfgs))
+	for i, cfg := range cfgs {
+		oooCfgs[i] = ooo32(cfg)
+	}
+	for _, arm := range []struct {
+		name string
+		cfgs []machine.Config
+	}{{"inorder", cfgs}, {"ooo32", oooCfgs}} {
+		b.Run(arm.name, func(b *testing.B) {
+			g := NewGang(p, arm.cfgs)
+			b.SetBytes(int64(len(trace)))
+			b.ResetTimer()
+			for n := 0; n < b.N; n++ {
+				for start := 0; start < len(trace); start += 512 {
+					end := min(start+512, len(trace))
+					g.EventBatch(trace[start:end])
+				}
+			}
+			laneEvents := float64(b.N) * float64(len(trace)) * float64(len(arm.cfgs))
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/laneEvents, "ns/lane-event")
+		})
 	}
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"predication/internal/bench"
@@ -69,7 +70,7 @@ func TestEmptyTraceCycles(t *testing.T) {
 // kernel, compilation model, and machine configuration.  (The one known
 // divergence is a nonzero TakenBranchBubble — the OoO front end charges
 // it from dispatch, not issue — which no stock configuration has; see
-// the redirect comment in oooState.step.)
+// the redirect comment in laneReplayOoO.)
 func TestOoOWindow1Parity(t *testing.T) {
 	kernels := bench.All()
 	if testing.Short() {
@@ -305,9 +306,9 @@ func TestOoOOverlapBeatsInOrder(t *testing.T) {
 
 // TestOoORingGrowth drives an issue far ahead of dispatch — a long
 // dependent divide chain dispatches in a handful of cycles but issues
-// hundreds of cycles later — so the issue-slot ring must grow past its
-// initial capacity, and the instrumented run must still account every
-// cycle.
+// hundreds of cycles later — so issue cycles outrun the issue-slot ring
+// and wait in its far list, and the instrumented run must still account
+// every cycle.
 func TestOoORingGrowth(t *testing.T) {
 	p := builder.New(64)
 	f := p.Func("main")
@@ -331,7 +332,7 @@ func TestOoORingGrowth(t *testing.T) {
 	s.EventBatch(trace)
 	st := s.Stats()
 	// 128 dependent divides at latency 8: over a thousand cycles while
-	// dispatch finished within ~130 — far beyond the initial ring.
+	// dispatch finished within ~130 — far beyond the 128-entry ring.
 	if st.Cycles < 1000 {
 		t.Errorf("dependent divide chain finished in %d cycles; interlocks not modeled", st.Cycles)
 	}
@@ -375,8 +376,8 @@ func TestOoOConstructorContracts(t *testing.T) {
 }
 
 // TestOoOStepAllocs extends the zero-alloc guard to the out-of-order
-// path: once the ring has warmed past its initial growth, batch feeding
-// allocates nothing, instrumented or not.
+// path: after construction, batch feeding allocates nothing, in both
+// compiled forms of the scheduler loop (plain and instrumented).
 func TestOoOStepAllocs(t *testing.T) {
 	k := bench.All()[0]
 	c, err := core.Compile(k.Build(), core.FullPred, core.DefaultOptions(machine.Issue8Br1()))
@@ -390,11 +391,64 @@ func TestOoOStepAllocs(t *testing.T) {
 	if len(trace) > 4096 {
 		trace = trace[:4096]
 	}
-	s := NewTiming(c.Prog, ooo32(machine.Issue8Br1()))
-	var a obs.CycleAccount
-	s.Instrument(&a)
-	s.EventBatch(trace) // warm up (ring growth happens here if at all)
-	if n := testing.AllocsPerRun(10, func() { s.EventBatch(trace) }); n != 0 {
-		t.Errorf("OoO EventBatch allocates %v times per call; want 0", n)
+	for _, observed := range []bool{false, true} {
+		s := NewTiming(c.Prog, ooo32(machine.Issue8Br1()))
+		if observed {
+			s.Instrument(&obs.CycleAccount{})
+		}
+		s.EventBatch(trace) // warm up
+		if n := testing.AllocsPerRun(10, func() { s.EventBatch(trace) }); n != 0 {
+			t.Errorf("OoO EventBatch (observed %v) allocates %v times per call; want 0", observed, n)
+		}
+	}
+}
+
+// TestOoOMemoryIndependentOfLatency is the regression test for an
+// out-of-order lane whose memory grew with the configured latencies: the
+// issue-slot ring used to double until it spanned dispatch to the latest
+// issue, so a data-cache miss of 1<<20 cycles cost one wc run 33.6 MB
+// (and 1<<28 would have asked for about 8 GB), where the in-order lane
+// allocates nothing.  Long-latency issues now wait in the ring's far list,
+// which the window bounds, so a lane costs the same memory at any miss
+// cost or predicate distance.
+func TestOoOMemoryIndependentOfLatency(t *testing.T) {
+	k, err := bench.ByName("wc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := core.Compile(k.Build(), core.FullPred, core.DefaultOptions(machine.Issue8Br1()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	trace, err := record(c.Prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocated := func(cfg machine.Config) (uint64, Stats) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		s := NewTiming(c.Prog, cfg)
+		for i := 0; i < len(trace); i += gangChunk {
+			s.EventBatch(trace[i:min(i+gangChunk, len(trace))])
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc, s.Stats()
+	}
+	base := ooo32(machine.Issue8Br1Cache())
+	want, _ := allocated(base)
+	miss := base
+	miss.DCache.MissCycles = 1 << 20
+	dist := base
+	dist.PredicateDistance = 1 << 20
+	for _, cfg := range []machine.Config{miss, dist} {
+		got, st := allocated(cfg)
+		if st.Cycles < 1<<20 {
+			t.Errorf("miss %d, distance %d: %d cycles; the latency was not modeled",
+				cfg.DCache.MissCycles, cfg.PredicateDistance, st.Cycles)
+		}
+		if got > want+64<<10 {
+			t.Errorf("miss %d, distance %d: one run allocated %d bytes, %d at the stock latencies",
+				cfg.DCache.MissCycles, cfg.PredicateDistance, got, want)
+		}
 	}
 }
